@@ -390,7 +390,7 @@ int main() {
   PrintBenchHeader("S1: serving throughput vs batch size x threads (KG)",
                    std::string("\"snapshot_read_path\":") +
                        (kSnapshotDetectReads ? "true" : "false") +
-                       ",\"incremental_snapshots\":true,\"smoke\":" +
+                       ",\"smoke\":" +
                        (smoke ? "true" : "false"));
   const size_t kPersons = smoke ? 400 : 2000;
   TableWriter t("S1: commit latency / edit throughput (KG)",

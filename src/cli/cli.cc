@@ -42,14 +42,15 @@ constexpr char kUsage[] = R"(usage:
           [--trace-out trace.json] [--listen PORT] [--max-connections N]
           [--max-requests-per-sec R] [--wal DIR] [--fsync-policy P]
           [--fsync-interval-ms MS] [--checkpoint-every N]
-          [--publish on|off] [--max-read-threads N]
+          [--max-read-threads N]
   grepair wal dump <dir>
 
 --threads N fans detection / mining statistics out over N worker threads
 (0 = hardware concurrency); results are identical to --threads 1.
---shards S partitions serve's cached read snapshot into S storage shards
-(0 = one per worker thread, 1 = monolithic); results are identical for
-any S, but a hot shard rebuilds alone instead of forcing a full rebuild.
+--shards S partitions serve's published snapshot store into S storage
+shards (0 = one per worker thread; a 1-thread serve keeps one shard);
+results are identical for any S, but a hot shard rebuilds alone instead
+of forcing a full rebuild.
 
 serve reads edit commands from stdin, one per line, and repairs after each
 commit (see DESIGN.md "Serving model"):
@@ -86,15 +87,12 @@ server; `quit` only closes that client's connection. Protocol errors are
 machine-parseable `err <code> <msg>` lines (DESIGN.md "Network serving" has
 the code set); tools/serve_client.py is a minimal scripting client.
 
---publish on|off (default on) controls epoch-published snapshots: after
-each committed batch the service atomically publishes an immutable snapshot
-generation, and the read verbs (`detect`, `violations`) run against it
-WITHOUT taking the commit mutex — reads scale with cores and a slow
-detection never stalls writers (DESIGN.md "Read path / epoch publication").
---max-read-threads N (default 0 = unlimited) caps concurrently executing
-read verbs; excess reads are shed with `err busy`. `off` is the ablation
-switch: read verbs answer `err rejected` and serving degrades to the
-single-mutex behavior.
+After each committed batch the service atomically publishes an immutable
+snapshot generation, and the read verbs (`detect`, `violations`) run
+against it WITHOUT taking the commit mutex — reads scale with cores and a
+slow detection never stalls writers (DESIGN.md "Read path / epoch
+publication"). --max-read-threads N (default 0 = unlimited) caps
+concurrently executing read verbs; excess reads are shed with `err busy`.
 
 --wal DIR makes serve durable: every committed batch is appended to a
 write-ahead log in DIR (fsynced per --fsync-policy: every = fsync each
@@ -125,7 +123,7 @@ const std::map<std::string, std::set<std::string>>& AllowedFlags() {
       {"serve",
        {"threads", "shards", "trace-out", "listen", "max-connections",
         "max-requests-per-sec", "wal", "fsync-policy", "fsync-interval-ms",
-        "checkpoint-every", "publish", "max-read-threads"}},
+        "checkpoint-every", "max-read-threads"}},
       {"wal", {}},
   };
   return kAllowed;
@@ -504,15 +502,6 @@ Status CmdServe(const Args& args, std::string* out, std::istream* in,
   if (auto it = args.flags.find("checkpoint-every"); it != args.flags.end()) {
     if (!ParseUint64(it->second, &sopt.checkpoint_every))
       return Status::InvalidArgument("bad --checkpoint-every");
-  }
-  if (auto it = args.flags.find("publish"); it != args.flags.end()) {
-    if (it->second == "on") {
-      sopt.publish_snapshots = true;
-    } else if (it->second == "off") {
-      sopt.publish_snapshots = false;
-    } else {
-      return Status::InvalidArgument("bad --publish (want on or off)");
-    }
   }
   if (auto it = args.flags.find("max-read-threads"); it != args.flags.end()) {
     uint64_t v = 0;

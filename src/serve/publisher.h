@@ -47,12 +47,11 @@ namespace serve {
 class SnapshotPublisher;
 
 /// One published (or in-preparation) snapshot generation: the frozen store
-/// — monolithic or sharded, exactly one non-null once built — plus the
-/// violation backlog captured at the same batch boundary, so the
+/// plus the violation backlog captured at the same batch boundary, so the
 /// `violations` verb pages a state consistent with what `detect` sees.
 struct Generation {
-  std::unique_ptr<GraphSnapshot> mono;
-  std::unique_ptr<ShardedSnapshot> sharded;
+  /// The store, one shard or many (null until the slot is first built).
+  std::unique_ptr<ShardedSnapshot> store;
   /// Backlog at the boundary, sorted deterministically (rule, first
   /// alternative's nodes, then edges — the SaveState order).
   std::vector<Violation> backlog;
@@ -67,14 +66,17 @@ struct Generation {
   /// leases decrement with release — see the file comment.
   std::atomic<uint64_t> pins{0};
 
-  bool has_store() const { return mono != nullptr || sharded != nullptr; }
+  bool has_store() const { return store != nullptr; }
+  /// What readers and the seed pass match against (has_store() must hold).
+  /// A 1-shard store hands out its only shard: the matcher's zero-copy
+  /// candidate spans need a GraphSnapshot (GraphView::AsSnapshot), which
+  /// the routing wrapper is not.
   const GraphView* view() const {
-    return sharded != nullptr ? static_cast<const GraphView*>(sharded.get())
-                              : static_cast<const GraphView*>(mono.get());
+    if (store->NumShards() == 1) return &store->shard(0);
+    return store.get();
   }
   size_t MemoryBytes() const {
-    if (sharded != nullptr) return sharded->MemoryBytes();
-    return mono != nullptr ? mono->MemoryBytes() : 0;
+    return store != nullptr ? store->MemoryBytes() : 0;
   }
 };
 
@@ -123,15 +125,9 @@ class ReadLease {
 
 /// The double-buffered publication point. Single writer (the commit
 /// thread) calls Writable/Publish/BeginNewEpoch; any thread calls Pin and
-/// the counters. With `enabled` false the publisher degrades to one
-/// private writer slot and Pin() always returns an empty lease — the
-/// pre-publication serving behavior, kept as an ablation switch.
+/// the counters.
 class SnapshotPublisher {
  public:
-  explicit SnapshotPublisher(bool enabled) : enabled_(enabled) {}
-
-  bool enabled() const { return enabled_; }
-
   /// Writer: the slot the next generation is prepared in (stable between
   /// Publish calls — a commit may advance it at the seed pass and again at
   /// publication). Recycled in place when reader-free; abandoned to its
@@ -145,8 +141,8 @@ class SnapshotPublisher {
   /// into the writable slot.
   void Publish(uint64_t batch, std::vector<Violation> backlog);
 
-  /// Reader: pins the last published generation (empty lease when nothing
-  /// is published or publication is disabled).
+  /// Reader: pins the last published generation (empty lease before the
+  /// first Publish).
   ReadLease Pin() const;
 
   /// Writer: invalidates every slot's store (the backing graph was swapped
@@ -177,7 +173,6 @@ class SnapshotPublisher {
   }
 
  private:
-  bool enabled_;
   uint64_t epoch_ = 0;
   uint64_t next_generation_ = 1;
   uint64_t abandoned_ = 0;

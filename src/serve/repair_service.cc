@@ -11,8 +11,8 @@
 #include <utility>
 
 #include "graph/graph_io.h"
-#include "graph/snapshot.h"
 #include "match/incremental.h"
+#include "match/plan.h"
 #include "obs/trace.h"
 #include "repair/fix.h"
 #include "storage/checkpoint.h"
@@ -79,8 +79,7 @@ RepairService::RepairService(Graph graph, RuleSet rules, ServeOptions options)
     : options_(std::move(options)),
       graph_(std::move(graph)),
       rules_(std::move(rules)),
-      clean_mark_(graph_.JournalSize()),
-      publisher_(options_.publish_snapshots) {
+      clean_mark_(graph_.JournalSize()) {
   Status valid = options_.Validate();
   if (!valid.ok()) throw std::invalid_argument(valid.ToString());
 
@@ -115,6 +114,18 @@ RepairService::RepairService(Graph graph, RuleSet rules, ServeOptions options)
   m_shard_rebuilds_ = registry_.GetCounter(
       "grepair_shard_rebuilds_total",
       "Store shards rebuilt from scratch (dirty-shard-only economics).");
+  m_publish_patches_ = registry_.GetCounter(
+      "grepair_serve_publish_advances_total",
+      "Publications by how the slot reached the committed state.",
+      {{"path", "patch"}});
+  m_publish_rebuilds_ = registry_.GetCounter(
+      "grepair_serve_publish_advances_total",
+      "Publications by how the slot reached the committed state.",
+      {{"path", "rebuild"}});
+  m_publish_abandoned_ = registry_.GetCounter(
+      "grepair_serve_publish_abandoned_total",
+      "Retired slots still pinned by readers, left to them and replaced by "
+      "a fresh slot that rebuilds.");
   m_wal_appends_ = registry_.GetCounter(
       "grepair_wal_appends_total", "Batches appended to the write-ahead log.");
   m_wal_bytes_ = registry_.GetCounter(
@@ -161,9 +172,8 @@ RepairService::RepairService(Graph graph, RuleSet rules, ServeOptions options)
       "snapshot generation.");
   m_stale_reads_ = registry_.GetCounter(
       "grepair_serve_stale_reads_total",
-      "Read requests refused before pinning a generation (publishing "
-      "disabled, nothing published yet, unknown rule, or shed by the "
-      "max_read_threads gate).");
+      "Read requests refused before pinning a generation (unknown rule, or "
+      "shed by the max_read_threads gate).");
   m_published_generation_ = registry_.GetGauge(
       "grepair_serve_published_generation",
       "Generation number of the snapshot readers currently pin (0 before "
@@ -194,25 +204,19 @@ RepairService::RepairService(Graph graph, RuleSet rules, ServeOptions options)
       "grepair_serve_read_ms",
       "Published read latency (detect / violations verbs).",
       obs::DefaultLatencyBucketsMs());
-  if (options_.num_threads != 1)
+  if (options_.num_threads != 1) {
     pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-  // Record physical deltas for incremental snapshot maintenance — kept by
-  // any service that reads snapshots: one whose pool can fan out, or one
-  // that publishes generations (even single-threaded). A 1-thread
-  // non-publishing service pays no record copies and keeps num_shards_ at
-  // 1, since no snapshot ever exists to shard.
-  if (pool_ != nullptr) {
     num_shards_ = options_.num_shards == 0 ? pool_->NumThreads()
                                            : options_.num_shards;
     num_shards_ = std::min(num_shards_, ShardedSnapshot::kMaxShards);
   }
-  if (pool_ != nullptr || publisher_.enabled()) graph_.EnableDeltaLog();
+  // Physical deltas for incremental maintenance of the published stores.
+  graph_.EnableDeltaLog();
   // Eager first publication: readers can pin the constructed state before
-  // any batch commits, and the spare slot economics of the seed pass stay
-  // exactly as they were pre-publication (the FIRST seed acquisition still
-  // finds an empty slot and builds it; this construction build counts only
-  // in the publication instruments).
-  if (publisher_.enabled()) PublishGeneration(0);
+  // any batch commits. The first seed acquisition still finds the other
+  // slot empty and builds it; this construction build counts only in the
+  // publication instruments.
+  PublishGeneration(0);
 }
 
 storage::Fs* RepairService::StateFs() const {
@@ -253,67 +257,38 @@ ParallelRunner RepairService::ShardRunner() const {
   };
 }
 
-bool RepairService::PatchWithinBudget(const GraphSnapshot& snap,
-                                      uint64_t pending) const {
-  const double budget =
-      options_.snapshot_rebuild_fraction *
-      static_cast<double>(std::max<size_t>(graph_.NumEdges(), 64));
-  return static_cast<double>(pending + snap.PatchedEdits()) <= budget;
-}
-
 RepairService::SlotAdvance RepairService::AdvanceSlot(
     serve::Generation* slot) {
   obs::Stopwatch t;
   SlotAdvance out;
   const uint64_t log_end = graph_.DeltaLogEnd();
   // Already current (typical for the publication advance of a cascade-free
-  // commit right after its own seed advance): nothing to patch, and the
-  // plans compiled against it still hold.
+  // commit right after its own seed advance): nothing to patch.
   if (slot->has_store() && slot->watermark == log_end &&
       slot->watermark >= graph_.DeltaLogBegin()) {
     out.patched = true;
     out.ms = t.ElapsedMs();
     return out;
   }
-  // The slot's contents change, so cached match plans must revalidate
-  // their variable orders against the new cardinalities.
-  ++plan_generation_;
-  // A slot whose pending slice was trimmed off the delta log (it forfeited
-  // its claim in TrimConsumedDeltaLog) can no longer be patched.
-  const bool stale =
-      slot->has_store() && slot->watermark < graph_.DeltaLogBegin();
-  if (num_shards_ > 1) {
-    // Sharded store: the patch-or-rebuild decision moves inside
-    // ShardedSnapshot::Advance and becomes PER SHARD — clean shards are
-    // untouched, lightly dirty shards patch, and a shard past its own
-    // fraction rebuilds alone (~1/S of a monolithic rebuild), all fanned
-    // out over the pool. The whole advance counts as a patch only when no
-    // shard had to rebuild.
-    if (!options_.incremental_snapshots || slot->sharded == nullptr ||
-        stale) {
-      slot->mono.reset();
-      slot->sharded = std::make_unique<ShardedSnapshot>(graph_, num_shards_,
-                                                        ShardRunner());
-      out.shards_rebuilt = num_shards_;
-    } else {
-      auto [records, count] = graph_.DeltaLogSince(slot->watermark);
-      ShardedSnapshot::AdvanceStats adv =
-          slot->sharded->Advance(graph_, records, count,
-                                 options_.snapshot_rebuild_fraction,
-                                 ShardRunner());
-      out.shards_patched = adv.shards_patched;
-      out.shards_rebuilt = adv.shards_rebuilt;
-      out.patched = adv.shards_rebuilt == 0;
-    }
-  } else if (options_.incremental_snapshots && !stale &&
-             slot->mono != nullptr &&
-             PatchWithinBudget(*slot->mono, log_end - slot->watermark)) {
-    auto [records, count] = graph_.DeltaLogSince(slot->watermark);
-    slot->mono->Patch(records, count);
-    out.patched = true;
+  if (!slot->has_store() || slot->watermark < graph_.DeltaLogBegin()) {
+    // Nothing to patch from: a fresh or abandoned slot, or one from an
+    // older epoch whose store Writable() dropped.
+    slot->store = std::make_unique<ShardedSnapshot>(graph_, num_shards_,
+                                                    ShardRunner());
+    out.shards_rebuilt = num_shards_;
   } else {
-    slot->sharded.reset();
-    slot->mono = std::make_unique<GraphSnapshot>(graph_);
+    // The patch-or-rebuild decision is PER SHARD inside Advance: clean
+    // shards are untouched, lightly dirty shards patch, and a shard past
+    // its own fraction rebuilds alone, all fanned out over the pool. The
+    // whole advance counts as a patch only when no shard had to rebuild.
+    auto [records, count] = graph_.DeltaLogSince(slot->watermark);
+    ShardedSnapshot::AdvanceStats adv =
+        slot->store->Advance(graph_, records, count,
+                             options_.snapshot_rebuild_fraction,
+                             ShardRunner());
+    out.shards_patched = adv.shards_patched;
+    out.shards_rebuilt = adv.shards_rebuilt;
+    out.patched = adv.shards_rebuilt == 0;
   }
   slot->watermark = log_end;
   out.ms = t.ElapsedMs();
@@ -338,11 +313,16 @@ const GraphView& RepairService::AcquireSnapshot(BatchResult* res) {
 }
 
 void RepairService::PublishGeneration(uint64_t batch) {
-  if (!publisher_.enabled()) return;
   OBS_SPAN("commit.publish");
   obs::Stopwatch t;
   serve::Generation* slot = publisher_.Writable();
-  AdvanceSlot(slot);  // bring it past the cascade fixes (publish-side cost)
+  // Bring it past the cascade fixes (publish-side cost).
+  (AdvanceSlot(slot).patched ? m_publish_patches_ : m_publish_rebuilds_)
+      ->Add(1);
+  // Abandonment happens in whichever Writable() first follows a Publish —
+  // the seed pass's or the one above — so counting here covers both.
+  m_publish_abandoned_->Add(publisher_.abandoned() - seen_abandoned_);
+  seen_abandoned_ = publisher_.abandoned();
   // Deterministic backlog page source: the SaveState sort order, so two
   // replicas at the same batch page identically.
   std::vector<Violation> backlog = store_.Snapshot();
@@ -363,57 +343,22 @@ void RepairService::PublishGeneration(uint64_t batch) {
 }
 
 void RepairService::TrimConsumedDeltaLog() {
+  // Every commit moves the writable slot to log_end at publication, so the
+  // laggard (the slot retired by the previous publish) is at most one
+  // commit behind: keep records back to the oldest valid watermark and let
+  // Advance's per-shard budget decide patch vs rebuild when they are
+  // consumed. A slot from an older epoch (or already trimmed past) holds
+  // no claim.
   const uint64_t log_begin = graph_.DeltaLogBegin();
   const uint64_t log_end = graph_.DeltaLogEnd();
-  if (publisher_.enabled()) {
-    // Publishing keeps BOTH slots advancing — every commit moves the
-    // writable slot to log_end at publication, so the laggard (the slot
-    // retired by the previous publish) is at most one batch behind. Keep
-    // records back to the oldest valid watermark and let AdvanceSlot's own
-    // budget checks decide patch vs rebuild when they are consumed; growth
-    // is structurally bounded at ~2 batches of records. A slot from an
-    // older epoch (or already trimmed past) holds no claim.
-    uint64_t keep_from = log_end;
-    publisher_.ForEachSlot([&](const serve::Generation& s) {
-      if (!s.has_store()) return;
-      if (s.epoch != publisher_.current_epoch()) return;
-      if (s.watermark < log_begin || s.watermark > log_end) return;
-      keep_from = std::min(keep_from, s.watermark);
-    });
-    graph_.TrimDeltaLog(keep_from);
-    return;
-  }
-  if (pool_ == nullptr) return;  // no delta log without a snapshot consumer
-  // Non-publishing pool service: ONE private slot, advanced only when a
-  // commit fans out. Between fan-outs records accumulate, so reproduce the
-  // historical CapDeltaLogGrowth economics: keep them only while the store
-  // could still patch them cheaper than the rebuild it would otherwise
-  // get; past the budget drop the store AND the records (nobody reads the
-  // slot — publication is off).
-  serve::Generation* slot = publisher_.Writable();
-  if (slot->has_store() && slot->epoch == publisher_.current_epoch() &&
-      slot->watermark >= log_begin && slot->watermark <= log_end) {
-    const uint64_t pending = log_end - slot->watermark;
-    bool keep = true;
-    if (pending > 0) {
-      const uint64_t patched = slot->sharded != nullptr
-                                   ? slot->sharded->PatchedEdits()
-                                   : slot->mono->PatchedEdits();
-      // Aggregate bound for the sharded store: per-shard budgets sum to
-      // roughly fraction * |E|, the same gate the monolithic path uses.
-      keep = static_cast<double>(pending + patched) <=
-             options_.snapshot_rebuild_fraction *
-                 static_cast<double>(std::max<size_t>(graph_.NumEdges(), 64));
-    }
-    if (keep) {
-      graph_.TrimDeltaLog(slot->watermark);
-      return;
-    }
-    slot->mono.reset();
-    slot->sharded.reset();
-    slot->watermark = log_end;
-  }
-  graph_.TrimDeltaLog(log_end);
+  uint64_t keep_from = log_end;
+  publisher_.ForEachSlot([&](const serve::Generation& s) {
+    if (!s.has_store()) return;
+    if (s.epoch != publisher_.current_epoch()) return;
+    if (s.watermark < log_begin || s.watermark > log_end) return;
+    keep_from = std::min(keep_from, s.watermark);
+  });
+  graph_.TrimDeltaLog(keep_from);
 }
 
 const ServiceStats& RepairService::stats() const {
@@ -435,6 +380,9 @@ const ServiceStats& RepairService::stats() const {
   s.snapshot_rebuild_ms = m_acquire_rebuild_ms_->Sum();
   s.shard_patches = m_shard_patches_->Value();
   s.shard_rebuilds = m_shard_rebuilds_->Value();
+  s.publish_patches = m_publish_patches_->Value();
+  s.publish_rebuilds = m_publish_rebuilds_->Value();
+  s.publish_abandoned = m_publish_abandoned_->Value();
   s.read_only = read_only_;
   s.wal_appends = m_wal_appends_->Value();
   s.wal_bytes = m_wal_bytes_->Value();
@@ -603,23 +551,20 @@ Result<BatchResult> RepairService::Commit() {
     // directly. Reads are bit-identical either way (tests/test_snapshot.cc,
     // tests/test_snapshot_patch.cc).
     const GraphView* view = &graph_;
-    // Frozen-view passes match through compiled plans (cached across
-    // commits, revalidated per snapshot generation); the live-graph path
-    // stays on the interpreter — both streams are bit-identical.
-    std::vector<const MatchPlan*> plans;
+    // Frozen-view passes match through plans compiled for the pass
+    // (compiling the 10 KG rules takes ~25 µs against a 10–13 ms planned
+    // pass); the live-graph path stays on the interpreter — both streams
+    // are bit-identical.
+    std::vector<MatchPlan> plans;
+    std::vector<const MatchPlan*> plan_ptrs;
     if (detector.WouldFanOut(anchors.nodes.size() + anchors.edges.size())) {
       view = &AcquireSnapshot(&res);
       res.snapshot_reads = true;
       m_snapshot_batches_->Add(1);
       plans.reserve(rules_.size());
       for (RuleId r = 0; r < rules_.size(); ++r)
-        plans.push_back(
-            plan_cache_.Get(r, rules_[r].pattern(), *view, plan_generation_));
-    } else if (!publisher_.enabled()) {
-      // No publication will advance the slots this commit, so cap the
-      // delta log here: slots whose pending slice already lost to a
-      // rebuild forfeit their claim and the records go.
-      TrimConsumedDeltaLog();
+        plans.push_back(MatchPlan::Compile(rules_[r].pattern(), *view));
+      for (const MatchPlan& p : plans) plan_ptrs.push_back(&p);
     }
     MatchStats st = detector.Detect(
         *view, rules_, anchors,
@@ -627,7 +572,7 @@ Result<BatchResult> RepairService::Commit() {
           store_.Add(r, m,
                      FixCost(*view, rules_[r], m, options_.cost_model, conf));
         },
-        plans.empty() ? nullptr : plans.data());
+        plan_ptrs.empty() ? nullptr : plan_ptrs.data());
     res.expansions += st.expansions;
     res.detect_ms = t.ElapsedMs();
     m_detect_ms_->Observe(res.detect_ms);
@@ -953,10 +898,8 @@ Status RepairService::LoadServiceState(const std::string& text,
   // reader until the republication below atomically replaces it. A reader
   // therefore never observes a half-restored store.
   graph_ = std::move(restored);
-  if (pool_ != nullptr || publisher_.enabled()) graph_.EnableDeltaLog();
+  graph_.EnableDeltaLog();
   publisher_.BeginNewEpoch();
-  plan_cache_.Clear();
-  read_plans_.Clear();
   clean_mark_ = 0;
   store_.Clear();
   for (const PendingViolation& pv : backlog)
@@ -1193,21 +1136,8 @@ Result<PublishedDetect> RepairService::DetectPublished(
     }
   }
   serve::ReadLease lease = publisher_.Pin();
-  if (!lease.valid()) {
-    m_stale_reads_->Add(1);
-    return Status::FailedPrecondition(
-        "no published snapshot generation (publishing disabled?)");
-  }
   obs::Stopwatch t;
   const GraphView& view = lease.view();
-  std::vector<const Pattern*> patterns;
-  patterns.reserve(rules_.size());
-  for (RuleId r = 0; r < rules_.size(); ++r)
-    patterns.push_back(&rules_[r].pattern());
-  // Plans compiled ONCE per published generation (against its frozen
-  // view), shared by every reader of that generation.
-  std::shared_ptr<const std::vector<MatchPlan>> plans =
-      read_plans_.Get(lease->generation, patterns, view);
   // Mirror the offline `grepair detect` pass exactly — matches folded into
   // violations by a local store, default cost model, no confidence
   // weighting (the DetectAll contract) — so the verb's counts are
@@ -1218,7 +1148,10 @@ Result<PublishedDetect> RepairService::DetectPublished(
   out.batch = lease->batch;
   for (RuleId r = 0; r < rules_.size(); ++r) {
     if (!rule_filter.empty() && rules_[r].name() != rule_filter) continue;
-    Matcher matcher(view, rules_[r].pattern(), &(*plans)[r]);
+    // Compiled per read against the pinned frozen view, like the offline
+    // sequential seed pass.
+    const MatchPlan plan = MatchPlan::Compile(rules_[r].pattern(), view);
+    Matcher matcher(view, rules_[r].pattern(), &plan);
     MatchOptions opts;
     MatchStats st = matcher.FindAll(opts, [&](const Match& m) {
       folded.Add(r, m, FixCost(view, rules_[r], m, CostModel{}, 0));
@@ -1245,11 +1178,6 @@ Result<PublishedViolations> RepairService::ReadViolations(
     return Status::ResourceExhausted("read capacity exhausted");
   }
   serve::ReadLease lease = publisher_.Pin();
-  if (!lease.valid()) {
-    m_stale_reads_->Add(1);
-    return Status::FailedPrecondition(
-        "no published snapshot generation (publishing disabled?)");
-  }
   obs::Stopwatch t;
   PublishedViolations out;
   out.generation = lease->generation;

@@ -9,7 +9,7 @@
 //      and seeds the violation store with batched PARALLEL delta-detection
 //      (parallel::ParallelDeltaDetector over the service pool — bit-identical
 //      to the sequential RunDelta seeding for any thread count). A
-//      fanning-out seed pass reads the service's CACHED GraphSnapshot,
+//      fanning-out seed pass reads the service's CACHED snapshot store,
 //      advanced to the current state by patching the graph's delta log —
 //      O(delta) per commit instead of an O(V+E) rebuild (DESIGN.md
 //      "Incremental maintenance"; rebuilt past snapshot_rebuild_fraction);
@@ -36,10 +36,8 @@
 
 #include "graph/graph.h"
 #include "graph/sharded_snapshot.h"
-#include "graph/snapshot.h"
 #include "serve/publisher.h"
 #include "grr/rule.h"
-#include "match/plan.h"
 #include "obs/metrics.h"
 #include "parallel/delta_detector.h"
 #include "parallel/thread_pool.h"
@@ -68,35 +66,20 @@ struct ServeOptions {
   /// Per-batch cascade budget; an exhausted batch leaves the remaining
   /// violations in the store for the next commit to continue draining.
   size_t max_fixes_per_batch = 1'000'000;
-  /// Maintain ONE read snapshot across commits and advance it per batch
-  /// from the graph's delta log (O(delta)) instead of rebuilding it from
-  /// scratch (O(V+E)) — the incremental serving hot path. Disable to force
-  /// a rebuild whenever a batch fans out (mainly for tests/benchmarks).
-  bool incremental_snapshots = true;
-  /// Rebuild instead of patch once the records to apply — the pending
-  /// delta plus everything already patched into the cached snapshot —
-  /// exceed this fraction of |E|: per-record overlay bookkeeping has a
-  /// higher constant than the linear rebuild, and a heavily patched
-  /// snapshot carries overlay lookups on its read paths. Under sharding
-  /// the same fraction applies PER SHARD against the shard's own edge
-  /// count, so a hot shard rebuilds alone.
+  /// Rebuild a store shard instead of patching it once the records to
+  /// apply — its pending delta plus everything already patched into it —
+  /// exceed this fraction of the shard's own edge count: per-record
+  /// overlay bookkeeping has a higher constant than the linear rebuild,
+  /// and a heavily patched snapshot carries overlay lookups on its read
+  /// paths. A hot shard rebuilds alone; 0 rebuilds every dirty shard.
   double snapshot_rebuild_fraction = 0.15;
-  /// Storage shards for the cached read snapshot (ShardedSnapshot): 0 =
+  /// Storage shards of the published snapshot store (ShardedSnapshot): 0 =
   /// one shard per pool thread (the default — build, patch and rebuild all
-  /// align with the detection fan-out), 1 = one monolithic GraphSnapshot,
-  /// capped at ShardedSnapshot::kMaxShards. Ignored by a sequential
-  /// (1-thread) service, which never reads snapshots. Results are
-  /// bit-identical across shard counts; only wall-clock changes.
+  /// align with the detection fan-out), capped at
+  /// ShardedSnapshot::kMaxShards. A service without a pool (num_threads 1)
+  /// keeps one shard. Results are bit-identical across shard counts; only
+  /// wall-clock changes.
   size_t num_shards = 0;
-  /// Publish an immutable snapshot generation after every committed batch
-  /// (and at construction / restore) through the RCU-style
-  /// serve::SnapshotPublisher, so `detect` / `violations` readers run
-  /// lock-free against the last committed state while the writer commits
-  /// (DESIGN.md "Read path / epoch publication"). Disabling reverts to the
-  /// write-only service: read verbs answer `err rejected` and no
-  /// publication work rides the commit path (the ablation baseline
-  /// bench_serving S4 compares against).
-  bool publish_snapshots = true;
   /// Cap on concurrently executing published reads across all transports
   /// (`--max-read-threads`); excess requests are shed with `err busy`
   /// instead of queueing behind each other. 0 = unlimited.
@@ -160,7 +143,7 @@ struct BatchResult {
   size_t fixes = 0;  ///< cascade fixes applied
   size_t expansions = 0;    ///< matcher expansions (detection + cascades)
   /// True when seed detection fanned out over the pool and therefore read
-  /// from a GraphSnapshot instead of the live graph (see DESIGN.md
+  /// from the snapshot store instead of the live graph (see DESIGN.md
   /// "Storage model").
   bool snapshot_reads = false;
   /// Among snapshot-read batches: true when the cached snapshot was
@@ -213,24 +196,35 @@ struct ServiceStats {
   size_t snapshot_rebuilds = 0;
   double snapshot_patch_ms = 0.0;
   double snapshot_rebuild_ms = 0.0;
-  /// Per-shard ledger of the sharded store (zeros when serving with one
-  /// monolithic snapshot): cumulative SHARDS patched / rebuilt across all
-  /// acquisitions. A commit that patches 3 shards and rebuilds the one hot
-  /// shard adds 3 and 1 — the dirty-shard-only economics the monolithic
-  /// counters cannot express (they count the whole acquisition as one
-  /// rebuild whenever any shard rebuilt).
+  /// Per-shard ledger of the seed-pass acquisitions: cumulative SHARDS
+  /// patched / rebuilt. A commit that patches 3 shards and rebuilds the
+  /// one hot shard adds 3 and 1 — the dirty-shard-only economics the
+  /// per-acquisition counters cannot express (they count the whole
+  /// acquisition as one rebuild whenever any shard rebuilt). With one
+  /// shard, shard_rebuilds == snapshot_rebuilds.
   size_t shard_patches = 0;
   size_t shard_rebuilds = 0;
   /// Heap footprint of the publisher's snapshot slots (0 when none).
   /// Computed when stats() is queried — the walk over the snapshot's
   /// attribute maps is O(V+E) and must not ride the per-commit hot path.
   size_t snapshot_memory_bytes = 0;
-  /// Epoch-publication ledger (all zero with publish_snapshots=false).
+  /// Epoch-publication ledger.
   size_t published_generation = 0;  ///< last published generation number
   size_t publishes = 0;             ///< generations published
-  size_t published_reads = 0;       ///< detect/violations served lock-free
-  size_t stale_reads = 0;  ///< reads rejected (nothing published / disabled)
-  double publish_ms = 0.0; ///< cumulative publication wall-clock
+  /// How each publication brought its slot to the committed state
+  /// (publish_patches + publish_rebuilds == publishes): an O(delta) patch,
+  /// or a rebuild of at least one shard.
+  size_t publish_patches = 0;
+  size_t publish_rebuilds = 0;
+  /// Retired slots still pinned by readers when the writer came to reuse
+  /// them: each was left to its readers and replaced by a fresh slot,
+  /// which the next advance builds from scratch.
+  size_t publish_abandoned = 0;
+  size_t published_reads = 0;  ///< detect/violations served lock-free
+  /// Reads refused before pinning (unknown rule filter, or shed by the
+  /// max_read_threads gate).
+  size_t stale_reads = 0;
+  double publish_ms = 0.0;  ///< cumulative publication wall-clock
   /// Durability ledger (all zero on a service without a wal_dir).
   bool read_only = false;        ///< degraded after a storage failure
   size_t wal_appends = 0;        ///< batches appended to the WAL
@@ -365,14 +359,13 @@ class RepairService {
   ///
   /// The three calls below are safe from ANY thread while the writer
   /// commits: they pin the last published generation (publisher mutex —
-  /// pointer work only), then run entirely against that frozen state.
-  /// kFailedPrecondition = nothing published (publishing disabled or the
-  /// service was constructed with it off); kResourceExhausted = the
-  /// max_read_threads gate shed the request; kNotFound = unknown rule
-  /// filter.
+  /// pointer work only), then run entirely against that frozen state. The
+  /// constructor publishes generation 1, so there is always one to pin.
+  /// kResourceExhausted = the max_read_threads gate shed the request;
+  /// kNotFound = unknown rule filter.
 
   /// Full (or rule-filtered, `rule_filter` non-empty) detection over the
-  /// published generation with generation-cached compiled plans.
+  /// published generation, with match plans compiled for the pass.
   Result<PublishedDetect> DetectPublished(const std::string& rule_filter) const;
 
   /// One page of the published violation backlog.
@@ -383,7 +376,7 @@ class RepairService {
   /// lease keeps that generation alive across any number of commits).
   serve::ReadLease PinPublished() const { return publisher_.Pin(); }
 
-  /// Last published generation number (0 before the first publication).
+  /// Last published generation number (1 after construction).
   uint64_t PublishedGeneration() const {
     return publisher_.CurrentGeneration();
   }
@@ -405,8 +398,8 @@ class RepairService {
   /// instruments here so the `metrics` verb exports them).
   obs::MetricsRegistry* mutable_metrics_registry() { return &registry_; }
   const ServeOptions& options() const { return options_; }
-  /// Effective storage shards of the cached snapshot (1 = monolithic; also
-  /// 1 for a sequential service, which never snapshots).
+  /// Effective storage shards of the snapshot store (1 for a service
+  /// without a pool).
   size_t num_shards() const { return num_shards_; }
   /// True after a WAL/checkpoint write failed: every mutation is refused
   /// with kIo until the process restarts (and recovers). Reads still work.
@@ -416,28 +409,20 @@ class RepairService {
 
  private:
   SymbolId ConfAttr() const;
-  /// The one rebuild-threshold policy for a MONOLITHIC slot store: true
-  /// when advancing `snap` by `pending` more records stays within
-  /// `snapshot_rebuild_fraction` of |E| (accumulated patches included).
-  /// Sharded slots apply the same fraction per shard inside
-  /// ShardedSnapshot::Advance.
-  bool PatchWithinBudget(const GraphSnapshot& snap, uint64_t pending) const;
   /// How one publisher-slot advancement went (AdvanceSlot): the caller
   /// attributes the numbers to the seed-pass instruments or the
   /// publication instruments depending on which path asked.
   struct SlotAdvance {
     bool patched = false;      ///< O(delta) patch (vs (re)build)
-    size_t shards_patched = 0; ///< per-shard ledger (sharded slots only)
+    size_t shards_patched = 0;
     size_t shards_rebuilt = 0;
     double ms = 0.0;
   };
-  /// Brings a publisher slot to the CURRENT graph state: patches its store
-  /// forward by the delta-log slice since its watermark, or (re)builds
-  /// when it has none / the slice was trimmed away / the patch fraction
-  /// crosses `snapshot_rebuild_fraction` / incremental maintenance is
-  /// disabled. Under sharding the patch-or-rebuild decision is PER SHARD
-  /// (dirty shards rebuild alone, in parallel over the pool). Bumps
-  /// plan_generation_ so the seed-pass PlanCache revalidates.
+  /// Brings a publisher slot to the CURRENT graph state: builds its store
+  /// when it has none or its slice was trimmed off the delta log, and
+  /// otherwise advances it by the slice since its watermark, deciding
+  /// patch or rebuild PER SHARD against `snapshot_rebuild_fraction`
+  /// (dirty shards rebuild alone, in parallel over the pool).
   SlotAdvance AdvanceSlot(serve::Generation* slot);
   /// Hands out the read snapshot view for a fanning-out seed pass: the
   /// publisher's writable slot advanced to the current graph (the SAME
@@ -448,12 +433,12 @@ class RepairService {
   /// Publishes the writable slot as the next generation at committed batch
   /// `batch`: advances it past any remaining delta (cascade fixes), copies
   /// the backlog in SaveState order, flips the published pointer, trims
-  /// the consumed delta log. No-op with publishing disabled.
+  /// the consumed delta log.
   void PublishGeneration(uint64_t batch);
-  /// Trims the delta log to the oldest position any slot still needs for
-  /// an in-budget patch; a slot whose pending records already exceed the
-  /// rebuild threshold forfeits its claim (it will rebuild anyway), so a
-  /// fan-out drought never accumulates an unbounded log.
+  /// Trims the delta log to the oldest watermark of a slot that can still
+  /// patch from it. Every publication advances a slot to the log end, so
+  /// the laggard is at most one commit behind and the retained log spans
+  /// at most the last two commits' records.
   void TrimConsumedDeltaLog();
   /// Shard-task runner over the service pool (null runner when there is no
   /// pool to fan out over).
@@ -489,25 +474,13 @@ class RepairService {
   std::unique_ptr<ThreadPool> pool_;  ///< null when num_threads == 1
   size_t num_shards_ = 1;  ///< resolved ServeOptions::num_shards
   size_t clean_mark_ = 0;  ///< journal position of the last commit
-  /// The double-buffered snapshot slots (monolithic store when num_shards_
-  /// == 1, sharded otherwise) and the atomic publication point readers pin
-  /// generations from. The writable slot doubles as the seed-pass read
-  /// cache: AcquireSnapshot advances it, Commit publishes it. Maintained
-  /// whenever the pool can fan out OR publishing is on (a sequential
-  /// non-publishing service never snapshots).
+  /// The double-buffered snapshot slots (a num_shards_-shard store each)
+  /// and the atomic publication point readers pin generations from. The
+  /// writable slot doubles as the seed-pass read cache: AcquireSnapshot
+  /// advances it, Commit publishes it.
   serve::SnapshotPublisher publisher_;
-  /// Compiled match plans for the fanning-out seed pass, keyed by rule
-  /// index and revalidated against the acquired slot's generation: each
-  /// AdvanceSlot bumps plan_generation_, and PlanCache::Get then keeps
-  /// a plan whose variable orders still hold under the new label
-  /// cardinalities, recompiling only past the drift threshold. The cascade
-  /// loop matches the LIVE mutating graph and stays on the interpreter.
-  PlanCache plan_cache_;
-  uint64_t plan_generation_ = 0;
-  /// Thread-safe plan cache of the published read path, keyed by PUBLISHED
-  /// generation (frozen views — no revalidation); mutable because reads
-  /// are const and concurrent.
-  mutable SharedPlanCache read_plans_;
+  /// publisher_.abandoned() already exported to m_publish_abandoned_.
+  uint64_t seen_abandoned_ = 0;
   /// In-flight published reads, against options_.max_read_threads.
   mutable std::atomic<int64_t> active_reads_{0};
 
@@ -545,6 +518,9 @@ class RepairService {
   obs::Counter* m_snapshot_batches_;
   obs::Counter* m_shard_patches_;
   obs::Counter* m_shard_rebuilds_;
+  obs::Counter* m_publish_patches_;
+  obs::Counter* m_publish_rebuilds_;
+  obs::Counter* m_publish_abandoned_;
   obs::Counter* m_wal_appends_;
   obs::Counter* m_wal_bytes_;
   obs::Counter* m_wal_syncs_;

@@ -59,7 +59,6 @@ std::string ReadErrResponse(const Status& st) {
   switch (st.code()) {
     case StatusCode::kResourceExhausted:
       return ErrResponse("busy", st.ToString());
-    case StatusCode::kFailedPrecondition:
     case StatusCode::kNotFound:
       return ErrResponse("rejected", st.ToString());
     default:
@@ -334,7 +333,8 @@ std::string Session::HandleLocked(const Request& req) {
           "snapshot_mem=%zu shards=%zu shard_patches=%zu shard_rebuilds=%zu "
           "read_only=%d wal_appends=%zu wal_syncs=%zu checkpoints=%zu "
           "last_checkpoint=%zu published_generation=%zu published_reads=%zu "
-          "stale_reads=%zu publishes=%zu publish_ms=%.2f",
+          "stale_reads=%zu publishes=%zu publish_ms=%.2f publish_patches=%zu "
+          "publish_rebuilds=%zu publish_abandoned=%zu",
           s.batches, s.edits, s.op_errors, s.violations_detected,
           s.violations_repaired, s.anchors_visited,
           service_->PendingEdits() + staged_.size(),
@@ -343,7 +343,8 @@ std::string Session::HandleLocked(const Request& req) {
           s.snapshot_memory_bytes, service_->num_shards(), s.shard_patches,
           s.shard_rebuilds, s.read_only ? 1 : 0, s.wal_appends, s.wal_syncs,
           s.checkpoints, s.last_checkpoint_seq, s.published_generation,
-          s.published_reads, s.stale_reads, s.publishes, s.publish_ms);
+          s.published_reads, s.stale_reads, s.publishes, s.publish_ms,
+          s.publish_patches, s.publish_rebuilds, s.publish_abandoned);
     }
     case Verb::kMetrics: {
       // stats() refreshes the lazily-priced snapshot-memory gauge before

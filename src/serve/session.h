@@ -26,8 +26,7 @@
 //   bad_id        an element id failed to parse or overflows the id space
 //   bad_request   the line is malformed in some other way
 //   rejected      the service refused an edit (dead id, bad endpoint, ...),
-//                 or a read verb could not be served (publishing disabled,
-//                 nothing published yet, unknown rule filter)
+//                 or `detect` named an unknown rule
 //   staged_edits  restore refused while uncommitted edits are staged
 //   busy          admission control shed the connection or request
 //   io            a file/device operation failed (save/trace/...), or a

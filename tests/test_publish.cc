@@ -433,22 +433,31 @@ TEST(PublishIsolationTest, RestoreRepublishesAtomically) {
 
 // --------------------------------------------------- options and protocol
 
-TEST(PublishOptionsTest, DisabledPublishingRejectsReads) {
+// Construction publishes generation 1, with or without a pool, so a read
+// before any commit answers from it; the refusal left on the read path is
+// an unknown rule filter, which answers `err rejected` and counts as a
+// stale read.
+TEST(PublishOptionsTest, ReadsBeforeFirstCommitAndUnknownRuleRejected) {
   DatasetBundle bundle = KgBundle(/*repaired=*/false);
-  ServeOptions sopt;
-  sopt.publish_snapshots = false;
-  RepairService service(bundle.graph.Clone(), bundle.rules, sopt);
+  for (size_t threads : {1u, 2u}) {
+    ServeOptions sopt;
+    sopt.num_threads = threads;
+    RepairService service(bundle.graph.Clone(), bundle.rules, sopt);
+    serve::Session session(&service, serve::SessionMode::kImmediate);
 
-  EXPECT_FALSE(service.PinPublished().valid());
-  auto d = service.DetectPublished("");
-  ASSERT_FALSE(d.ok());
-  EXPECT_EQ(d.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(service.stats().published_generation, 0u);
-  EXPECT_GT(service.stats().stale_reads, 0u);
+    EXPECT_EQ(service.stats().published_generation, 1u) << threads;
+    auto d = service.DetectPublished("");
+    ASSERT_TRUE(d.ok()) << d.status().ToString();
+    EXPECT_EQ(d.value().generation, 1u);
+    EXPECT_EQ(d.value().batch, 0u);
+    EXPECT_EQ(session.HandleLine("detect") + "\n",
+              OfflineDetectReport(service.graph(), service.rules()));
 
-  serve::Session session(&service, serve::SessionMode::kImmediate);
-  EXPECT_EQ(session.HandleLine("detect").rfind("err rejected", 0), 0u);
-  EXPECT_EQ(session.HandleLine("violations").rfind("err rejected", 0), 0u);
+    const size_t stale = service.stats().stale_reads;
+    EXPECT_EQ(session.HandleLine("detect nosuchrule").rfind("err rejected", 0),
+              0u);
+    EXPECT_EQ(service.stats().stale_reads, stale + 1) << threads;
+  }
 }
 
 TEST(PublishOptionsTest, ValidateBoundsMaxReadThreads) {
@@ -458,6 +467,130 @@ TEST(PublishOptionsTest, ValidateBoundsMaxReadThreads) {
   sopt.max_read_threads = 4097;
   EXPECT_FALSE(sopt.Validate().ok());
 }
+
+// A 1-shard store hands readers (and the seed pass) its only shard, a
+// GraphSnapshot: matching through the routing wrapper loses the matcher's
+// zero-copy candidate spans. Wider stores read through the wrapper.
+TEST(PublishReadPathTest, OneShardServicesReadAGraphSnapshot) {
+  DatasetBundle bundle = KgBundle(/*repaired=*/false);
+  const struct {
+    size_t threads, shards, want_shards;
+  } cases[] = {{1, 0, 1}, {1, 4, 1}, {2, 1, 1}, {2, 2, 2}, {4, 0, 4}};
+  for (const auto& c : cases) {
+    ServeOptions sopt;
+    sopt.num_threads = c.threads;
+    sopt.num_shards = c.shards;
+    sopt.shard_min_anchors = 1;
+    RepairService service(bundle.graph.Clone(), bundle.rules, sopt);
+    ASSERT_EQ(service.num_shards(), c.want_shards);
+    Rng rng(5);
+    for (size_t b = 0; b < 2; ++b) {
+      serve::ReadLease lease = service.PinPublished();
+      ASSERT_TRUE(lease.valid());
+      EXPECT_EQ(lease.view().AsSnapshot() != nullptr, c.want_shards == 1)
+          << "threads " << c.threads << " shards " << c.shards;
+      EXPECT_EQ(lease.view().NumStorageShards(), c.want_shards);
+      lease.Release();
+      Graph scratch = service.graph().Clone();
+      ASSERT_TRUE(service.ApplyBatch(MutateRandom(&scratch, &rng, 8)).ok());
+    }
+  }
+}
+
+// Publication's store maintenance is visible without a pool: a lease held
+// across two commits makes the writer abandon the pinned slot and rebuild
+// a fresh one; once it is released, publications patch again. Every
+// publication counts exactly one advance.
+TEST(PublishLedgerTest, AbandonedSlotsAndPublicationAdvancesAreCounted) {
+  DatasetBundle bundle = KgBundle(/*repaired=*/true);
+  RepairService service(bundle.graph.Clone(), bundle.rules, ServeOptions());
+  Rng rng(21);
+  auto commit = [&] {
+    Graph scratch = service.graph().Clone();
+    ASSERT_TRUE(service.ApplyBatch(MutateRandom(&scratch, &rng, 6)).ok());
+  };
+  commit();  // both slots built
+
+  serve::ReadLease lease = service.PinPublished();
+  const ServiceStats before = service.stats();
+  commit();
+  commit();
+  const ServiceStats held = service.stats();
+  EXPECT_GE(held.publish_abandoned, before.publish_abandoned + 1);
+  EXPECT_GE(held.publish_rebuilds, before.publish_rebuilds + 1);
+
+  lease.Release();
+  commit();
+  commit();
+  const ServiceStats after = service.stats();
+  EXPECT_EQ(after.publish_abandoned, held.publish_abandoned);
+  EXPECT_GE(after.publish_patches, held.publish_patches + 1);
+  for (const ServiceStats* s : {&before, &held, &after})
+    EXPECT_EQ(s->publish_patches + s->publish_rebuilds, s->publishes);
+
+  serve::Session session(&service, serve::SessionMode::kImmediate);
+  const std::string metrics = session.HandleLine("metrics");
+  EXPECT_NE(metrics.find(StrFormat(
+                "grepair_serve_publish_abandoned_total %zu",
+                after.publish_abandoned)),
+            std::string::npos);
+  EXPECT_NE(metrics.find(StrFormat(
+                "grepair_serve_publish_advances_total{path=\"patch\"} %zu",
+                after.publish_patches)),
+            std::string::npos);
+  EXPECT_NE(metrics.find(StrFormat(
+                "grepair_serve_publish_advances_total{path=\"rebuild\"} %zu",
+                after.publish_rebuilds)),
+            std::string::npos);
+}
+
+// The delta-log retention bound: every publication advances a slot to the
+// log end and the other slot lags by at most one commit, so after each
+// commit the retained log holds at most what the last two commits
+// appended — also while a reader pins retired generations.
+class DeltaLogRetention
+    : public ::testing::TestWithParam<std::tuple<size_t, bool>> {};
+
+TEST_P(DeltaLogRetention, BoundedByLastTwoCommits) {
+  const size_t threads = std::get<0>(GetParam());
+  const bool pinned = std::get<1>(GetParam());
+  DatasetBundle bundle = KgBundle(/*repaired=*/false);
+  ServeOptions sopt;
+  sopt.num_threads = threads;
+  RepairService service(bundle.graph.Clone(), bundle.rules, sopt);
+  const Graph& g = service.graph();
+  ASSERT_TRUE(g.DeltaLogEnabled());
+
+  serve::ReadLease lease;
+  uint64_t prev_end = g.DeltaLogEnd();
+  uint64_t prev_appended = 0;
+  Rng rng(77 + threads);
+  for (size_t b = 0; b < 9; ++b) {
+    // Re-pinned every third commit, so each lease spans three commits.
+    if (pinned && b % 3 == 0) lease = service.PinPublished();
+    Graph scratch = g.Clone();
+    // Alternate small and large batches so some commits fan out.
+    auto res = service.ApplyBatch(MutateRandom(&scratch, &rng, b % 2 ? 4 : 24));
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    const uint64_t end = g.DeltaLogEnd();
+    const uint64_t appended = end - prev_end;
+    EXPECT_LE(end - g.DeltaLogBegin(), appended + prev_appended)
+        << "threads " << threads << " pinned " << pinned << " batch " << b;
+    prev_end = end;
+    prev_appended = appended;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ThreadsPinned, DeltaLogRetention,
+                         ::testing::Combine(::testing::Values(1u, 4u),
+                                            ::testing::Bool()),
+                         [](const auto& info) {
+                           std::string name = "t";
+                           name += std::to_string(std::get<0>(info.param));
+                           name += std::get<1>(info.param) ? "_pinned"
+                                                           : "_unpinned";
+                           return name;
+                         });
 
 TEST(PublishProtocolTest, ViolationsPagingWindows) {
   DatasetBundle bundle = KgBundle(/*repaired=*/true);

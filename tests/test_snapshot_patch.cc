@@ -336,7 +336,7 @@ TEST(SnapshotPatchTest, ServiceCommitsBitIdenticalAndCountsPaths) {
   incr.num_threads = 4;
   incr.shard_min_anchors = 2;  // fan out (and snapshot) nearly every batch
   ServeOptions full = incr;
-  full.incremental_snapshots = false;
+  full.snapshot_rebuild_fraction = 0.0;
   RepairService a(bundle.graph.Clone(), bundle.rules, incr);
   RepairService c(bundle.graph.Clone(), bundle.rules, full);
 
@@ -367,7 +367,7 @@ TEST(SnapshotPatchTest, ServiceCommitsBitIdenticalAndCountsPaths) {
   const ServiceStats& sc = c.stats();
   EXPECT_EQ(sa.snapshot_batches, sc.snapshot_batches);
   EXPECT_EQ(sa.snapshot_patches + sa.snapshot_rebuilds, sa.snapshot_batches);
-  EXPECT_EQ(sc.snapshot_patches, 0u);  // disabled → rebuild every time
+  EXPECT_EQ(sc.snapshot_patches, 0u);  // fraction 0 → rebuild every time
   EXPECT_EQ(sc.snapshot_rebuilds, sc.snapshot_batches);
   ASSERT_GT(sa.snapshot_batches, 1u);
   EXPECT_GE(sa.snapshot_patches, 1u);  // steady state patches
