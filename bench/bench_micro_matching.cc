@@ -112,35 +112,6 @@ void BM_FullAfterEdit(benchmark::State& state) {
 BENCHMARK(BM_FullAfterEdit)->Arg(1000)->Arg(4000)
     ->Unit(benchmark::kMicrosecond);
 
-// Candidate-pruning ablations: the same detection pass with the adjacency
-// pivot / attribute join disabled (fall back to label scans).
-void BM_MatchAblation(benchmark::State& state) {
-  Workload w(2000);
-  bool use_adj = state.range(0) != 0;
-  bool use_join = state.range(1) != 0;
-  RuleId dup = w.rules.Find("dup_person").value();
-  RuleId cap = w.rules.Find("one_capital_per_country").value();
-  for (auto _ : state) {
-    MatchOptions opts;
-    opts.use_adjacency_pivot = use_adj;
-    opts.use_attr_join = use_join;
-    size_t n = 0;
-    for (RuleId r : {dup, cap}) {
-      Matcher(w.graph, w.rules[r].pattern()).FindAll(opts, [&](const Match&) {
-        ++n;
-        return true;
-      });
-    }
-    benchmark::DoNotOptimize(n);
-  }
-}
-BENCHMARK(BM_MatchAblation)
-    ->Args({1, 1})   // full system
-    ->Args({0, 1})   // no adjacency pivot
-    ->Args({1, 0})   // no attribute join
-    ->Args({0, 0})   // label scans only
-    ->Unit(benchmark::kMillisecond);
-
 // --- Graph vs GraphSnapshot read paths ------------------------------------
 // Seeding is the contiguous-range-vs-hash-index comparison the snapshot
 // refactor targets: SeedCandidates over the live Graph copies an
@@ -353,18 +324,18 @@ BENCHMARK(BM_UndoJournal)->Unit(benchmark::kMicrosecond);
 
 // --- Compiled match plans --------------------------------------------------
 
-// One-time compilation cost of a full rule set's plans — what every
-// planned detection pass (engine seed pass, serve fan-out, published read)
-// pays before matching.
+// Compilation cost of a full rule set's bodies for every anchor shape the
+// system searches with — more than one detection pass compiles, since each
+// Matcher compiles only the shapes it searches (one per rule on a full
+// pass, one per anchor shape on a delta pass).
 void BM_PlanCompile(benchmark::State& state) {
   Workload w(static_cast<size_t>(state.range(0)));
   GraphSnapshot snap(w.graph);
-  std::vector<const Pattern*> patterns;
-  for (RuleId r = 0; r < w.rules.size(); ++r)
-    patterns.push_back(&w.rules[r].pattern());
   for (auto _ : state) {
-    std::vector<MatchPlan> plans = CompilePlans(patterns, snap);
-    benchmark::DoNotOptimize(plans.data());
+    for (RuleId r = 0; r < w.rules.size(); ++r) {
+      MatchPlan plan = MatchPlan::Compile(w.rules[r].pattern(), snap);
+      benchmark::DoNotOptimize(&plan);
+    }
   }
 }
 BENCHMARK(BM_PlanCompile)->Arg(1000)->Arg(4000)
@@ -390,36 +361,6 @@ void BM_IntersectGalloping(benchmark::State& state) {
 }
 BENCHMARK(BM_IntersectGalloping)->Arg(64)->Arg(1024)->Arg(16384)
     ->Unit(benchmark::kMicrosecond);
-
-// The headline ablation: full rule-set detection over a frozen snapshot,
-// interpreted (Arg 0) vs through compiled plans (Arg 1). Plans are
-// compiled OUTSIDE the timed region — the serving path caches them across
-// commits. Streams are bit-identical (tests/test_match_plan.cc); only the
-// candidate pipeline differs.
-void BM_PlannedVsInterpreted(benchmark::State& state) {
-  Workload w(4000);
-  GraphSnapshot snap(w.graph);
-  const bool planned = state.range(0) != 0;
-  std::vector<const Pattern*> patterns;
-  for (RuleId r = 0; r < w.rules.size(); ++r)
-    patterns.push_back(&w.rules[r].pattern());
-  std::vector<MatchPlan> plans = CompilePlans(patterns, snap);
-  for (auto _ : state) {
-    size_t n = 0;
-    for (RuleId r = 0; r < w.rules.size(); ++r) {
-      MatchOptions opts;
-      opts.use_plan = planned;
-      Matcher m(snap, w.rules[r].pattern(), planned ? &plans[r] : nullptr);
-      m.FindAll(opts, [&](const Match&) {
-        ++n;
-        return true;
-      });
-    }
-    benchmark::DoNotOptimize(n);
-  }
-}
-BENCHMARK(BM_PlannedVsInterpreted)->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace grepair

@@ -366,8 +366,8 @@ Status CmdExplainPlan(const Args& args, std::string* out) {
   GREPAIR_ASSIGN_OR_RETURN(Graph g, LoadGraph(args.positional[1], vocab));
   GREPAIR_ASSIGN_OR_RETURN(std::string text, ReadFile(args.positional[2]));
   GREPAIR_ASSIGN_OR_RETURN(RuleSet rules, ParseRules(text, vocab));
-  // Plans are compiled against the same frozen view detection reads, so
-  // what this prints is exactly what a fanning-out pass executes.
+  // Bodies compile against the same kind of frozen view a detection pass
+  // reads, so this prints the bodies that pass's Matchers compile.
   GraphSnapshot snap(g);
   for (RuleId r = 0; r < rules.size(); ++r) {
     const Rule& rule = rules[r];

@@ -8,8 +8,9 @@
 //   - dense node/edge label, endpoint and attribute columns (tombstones
 //     keep their data addressable, mirroring Graph's identity semantics);
 //   - label- and attr-partitioned candidate indexes: alive node ids grouped
-//     per label / per (attr, value), each group ascending, so
-//     Matcher::SeedCandidates is a contiguous-range copy with no sort;
+//     per label / per (attr, value), each group ascending, so a match
+//     step's label scan or attr join reads a zero-copy span with no sort
+//     (and Matcher::SeedCandidates is a contiguous-range copy);
 //   - an alive-edge index sorted by (src, dst, label, id) that answers
 //     HasEdge in O(log E) instead of an adjacency scan.
 //

@@ -14,9 +14,8 @@ uint64_t DeltaMatchHash(const Match& m) {
   return h;
 }
 
-DeltaMatcher::DeltaMatcher(const GraphView& graph, const Pattern& pattern,
-                           const MatchPlan* plan)
-    : g_(graph), p_(pattern), plan_(plan) {}
+DeltaMatcher::DeltaMatcher(const GraphView& graph, const Pattern& pattern)
+    : g_(graph), p_(pattern), matcher_(graph, pattern) {}
 
 DeltaMatcher::Anchors DeltaMatcher::ComputeAnchors(
     const std::vector<EditEntry>& delta) const {
@@ -71,7 +70,6 @@ DeltaMatcher::Anchors DeltaMatcher::ComputeAnchors(
 MatchStats DeltaMatcher::MatchEdgeAnchors(
     const std::vector<EdgeId>& anchor_edges, const MatchCallback& cb) const {
   MatchStats total;
-  Matcher matcher(g_, p_, plan_);
   bool stop = false;
   auto counting_cb = [&](const Match& m) {
     if (!cb(m)) {
@@ -88,7 +86,7 @@ MatchStats DeltaMatcher::MatchEdgeAnchors(
       if (pe.label != 0 && pe.label != el) continue;
       MatchOptions opts;
       opts.edge_anchors.push_back({i, eid});
-      MatchStats st = matcher.FindAll(opts, counting_cb);
+      MatchStats st = matcher_.FindAll(opts, counting_cb);
       total.expansions += st.expansions;
       total.matches += st.matches;
       total.exhausted |= st.exhausted;
@@ -101,7 +99,6 @@ MatchStats DeltaMatcher::MatchEdgeAnchors(
 MatchStats DeltaMatcher::MatchNodeAnchors(
     const std::vector<NodeId>& anchor_nodes, const MatchCallback& cb) const {
   MatchStats total;
-  Matcher matcher(g_, p_, plan_);
   bool stop = false;
   auto counting_cb = [&](const Match& m) {
     if (!cb(m)) {
@@ -119,7 +116,7 @@ MatchStats DeltaMatcher::MatchNodeAnchors(
       if (pn.label != 0 && pn.label != nl) continue;
       MatchOptions opts;
       opts.node_anchors.push_back({v, nid});
-      MatchStats st = matcher.FindAll(opts, counting_cb);
+      MatchStats st = matcher_.FindAll(opts, counting_cb);
       total.expansions += st.expansions;
       total.matches += st.matches;
       total.exhausted |= st.exhausted;

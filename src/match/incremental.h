@@ -29,13 +29,14 @@ namespace grepair {
 /// exact same survivor set.
 uint64_t DeltaMatchHash(const Match& m);
 
-/// Incremental (delta-anchored) pattern search over one graph. An optional
-/// compiled MatchPlan (plan.h) for the same pattern accelerates the anchored
-/// searches; streams stay bit-identical to the plan-less matcher.
+/// Incremental (delta-anchored) pattern search over one graph. It holds
+/// one Matcher for its whole lifetime, so every anchored search of one
+/// shape — across calls and across both anchor kinds — replays the body
+/// compiled on the first; it inherits the Matcher's rules (one thread, no
+/// search after the graph mutates).
 class DeltaMatcher {
  public:
-  DeltaMatcher(const GraphView& graph, const Pattern& pattern,
-               const MatchPlan* plan = nullptr);
+  DeltaMatcher(const GraphView& graph, const Pattern& pattern);
 
   /// The anchors a delta induces — exposed for tests, diagnostics and
   /// callers that search several rules over one delta. Anchor extraction
@@ -73,7 +74,7 @@ class DeltaMatcher {
  private:
   const GraphView& g_;
   const Pattern& p_;
-  const MatchPlan* plan_;
+  Matcher matcher_;
 };
 
 }  // namespace grepair

@@ -1,10 +1,10 @@
 #include "match/matcher.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "graph/snapshot.h"
 #include "match/intersect.h"
-#include "match/plan.h"
 #include "match/predicate.h"
 #include "obs/metrics.h"
 
@@ -38,10 +38,10 @@ MatchMetrics& Metrics() {
                        "Embeddings found and delivered to callbacks."),
         reg.GetCounter("grepair_intersect_gallop_total",
                        "Candidate intersections taken by the galloping "
-                       "kernel (planned path)."),
+                       "kernel."),
         reg.GetCounter("grepair_intersect_merge_total",
                        "Candidate intersections taken by the block-wise "
-                       "merge kernel (planned path).")};
+                       "merge kernel.")};
   }();
   return m;
 }
@@ -72,9 +72,13 @@ bool Match::ContainsEdge(EdgeId e) const {
   return std::find(edges.begin(), edges.end(), e) != edges.end();
 }
 
-Matcher::Matcher(const GraphView& graph, const Pattern& pattern,
-                 const MatchPlan* plan)
-    : g_(graph), p_(pattern), plan_(plan), snap_(graph.AsSnapshot()) {}
+Matcher::Matcher(const GraphView& graph, const Pattern& pattern)
+    : g_(graph),
+      p_(pattern),
+      snap_(graph.AsSnapshot()),
+      bodies_(pattern, graph) {
+  assert(pattern.NumNodes() <= kMaxPatternNodes);
+}
 
 struct Matcher::SearchState {
   const MatchOptions* opts;
@@ -83,18 +87,17 @@ struct Matcher::SearchState {
   bool stop = false;
 
   MatchScratch* s = nullptr;       // bindings + per-depth candidate buffers
-  const PlanBody* body = nullptr;  // non-null: compiled extension path
-  size_t bound_count = 0;
+  const PlanBody* body = nullptr;  // the anchor shape's compiled steps
   IntersectStats isect;  // kernel tallies, flushed once per FindAll
 
   // Local observability tallies, flushed to the registry once per FindAll.
-  size_t root_depth = 0;      // bound_count after anchors = the seed level
   size_t obs_seeds = 0;       // candidates tried at the seed level
   size_t obs_candidates = 0;  // candidates generated at every level
 };
 
 // Checks label, injectivity, adjacency to all bound neighbors, and every
-// predicate that becomes fully bound with this assignment.
+// predicate that becomes fully bound with this assignment. Checks the
+// anchors, which are bound before the body's first step.
 bool Matcher::CheckNewBinding(SearchState* st, VarId var, NodeId node) const {
   if (!g_.NodeAlive(node)) return false;
   const PatternNode& pn = p_.nodes()[var];
@@ -131,7 +134,7 @@ bool Matcher::CheckNewBinding(SearchState* st, VarId var, NodeId node) const {
   return ok;
 }
 
-// The planned counterpart: same checks, but the pattern scan for relevant
+// The per-step counterpart: same checks, but the pattern scan for relevant
 // edges/predicates was done at compile time, and checks the candidate
 // source already guarantees are skipped. `covered_pivots` bit i set means
 // the candidate list was gathered from (or intersected with) pivot i's
@@ -141,9 +144,9 @@ bool Matcher::CheckNewBinding(SearchState* st, VarId var, NodeId node) const {
 // the candidates: membership means node.attr == the resolved value, which
 // is the predicate's truth. Uncovered pivots/predicates are checked in
 // full, so the accepted set never depends on the candidate source.
-bool Matcher::CheckPlannedBinding(SearchState* st, const PlanStep& step,
-                                  NodeId node, uint32_t covered_pivots,
-                                  int covered_pred) const {
+bool Matcher::CheckStepBinding(SearchState* st, const PlanStep& step,
+                               NodeId node, uint32_t covered_pivots,
+                               int covered_pred) const {
   if (!g_.NodeAlive(node)) return false;
   if (step.label != 0 && g_.NodeLabel(node) != step.label) return false;
   std::vector<NodeId>& binding = st->s->binding;
@@ -176,110 +179,23 @@ bool Matcher::CheckPlannedBinding(SearchState* st, const PlanStep& step,
   return ok;
 }
 
-// Candidate nodes for `var`, from the most selective available source:
-// 1) adjacency to a bound var, 2) attr-index join via an EQ predicate with
-// a bound var or constant, 3) label index. Writes into *out (replaced).
-void Matcher::CandidatesFor(const SearchState& st, VarId var,
-                            std::vector<NodeId>* out, bool* sorted) const {
-  const std::vector<NodeId>& binding = st.s->binding;
-  out->clear();
-  *sorted = false;
-  // 1) adjacency pivot: choose the bound-adjacent pattern edge whose bound
-  //    endpoint has the smallest relevant degree.
-  int best_edge = -1;
-  bool best_forward = false;  // true: bound is src, candidates from OutEdges
-  size_t best_deg = SIZE_MAX;
-  for (size_t i = 0; st.opts->use_adjacency_pivot && i < p_.edges().size();
-       ++i) {
-    const auto& pe = p_.edges()[i];
-    if (pe.dst == var && pe.src != var && binding[pe.src] != kInvalidNode) {
-      size_t deg = g_.OutDegree(binding[pe.src]);
-      if (deg < best_deg) {
-        best_deg = deg;
-        best_edge = static_cast<int>(i);
-        best_forward = true;
-      }
-    }
-    if (pe.src == var && pe.dst != var && binding[pe.dst] != kInvalidNode) {
-      size_t deg = g_.InDegree(binding[pe.dst]);
-      if (deg < best_deg) {
-        best_deg = deg;
-        best_edge = static_cast<int>(i);
-        best_forward = false;
-      }
-    }
-  }
-  if (best_edge >= 0) {
-    const auto& pe = p_.edges()[best_edge];
-    if (best_forward) {
-      NodeId b = binding[pe.src];
-      for (EdgeId e : g_.OutEdges(b)) {
-        if (pe.label != 0 && g_.EdgeLabel(e) != pe.label) continue;
-        out->push_back(g_.Edge(e).dst);
-      }
-    } else {
-      NodeId b = binding[pe.dst];
-      for (EdgeId e : g_.InEdges(b)) {
-        if (pe.label != 0 && g_.EdgeLabel(e) != pe.label) continue;
-        out->push_back(g_.Edge(e).src);
-      }
-    }
-    // Sort+unique in place replaces the old per-call unordered_set dedup;
-    // the search wants ascending order anyway, so report it as sorted and
-    // downstream skips its re-sort.
-    SortUniqueIds(out);
-    *sorted = true;
-    return;
-  }
-
-  // 2) attribute join: EQ predicate var.attr = bound.attr / constant.
-  for (const auto& pred : p_.predicates()) {
-    if (!st.opts->use_attr_join) break;
-    if (pred.op != CmpOp::kEq) continue;
-    if (PredicateUsesEdges(pred)) continue;
-    const AttrOperand* self = nullptr;
-    const AttrOperand* other = nullptr;
-    if (pred.lhs.var == var) {
-      self = &pred.lhs;
-      other = &pred.rhs;
-    } else if (pred.rhs.var == var) {
-      self = &pred.rhs;
-      other = &pred.lhs;
-    } else {
-      continue;
-    }
-    SymbolId value = 0;
-    if (other->var == kNoVar) {
-      value = other->constant;
-    } else if (binding[other->var] != kInvalidNode) {
-      value = g_.NodeAttr(binding[other->var], other->attr);
-    } else {
-      continue;
-    }
-    if (value == 0) continue;  // absent attr: EQ can't hold anyway
-    *sorted = g_.CollectNodesWithAttr(self->attr, value, out);
-    return;
-  }
-
-  // 3) label index.
-  *sorted = g_.CollectNodesWithLabel(p_.nodes()[var].label, out);
-}
-
-// Candidate list for one planned step: pointer + count, either a zero-copy
-// snapshot partition span or this depth's scratch buffer.
-size_t Matcher::PlannedCandidates(SearchState* st, const PlanStep& step,
-                                  size_t depth, const NodeId** out,
-                                  uint32_t* covered_pivots,
-                                  int* covered_pred) const {
+// Candidate list for one step, from its most selective source: adjacency
+// to bound vars, else an attr-index join, else the label index. Pointer +
+// count, either a zero-copy snapshot partition span or this depth's
+// scratch buffer; ascending and duplicate-free either way.
+size_t Matcher::StepCandidates(SearchState* st, const PlanStep& step,
+                               size_t depth, const NodeId** out,
+                               uint32_t* covered_pivots,
+                               int* covered_pred) const {
   MatchScratch::DepthBufs& bufs = st->s->depth[depth];
   const std::vector<NodeId>& binding = st->s->binding;
   *covered_pivots = 0;
   *covered_pred = -1;
 
   if (step.source == PlanStep::Source::kAdjacency) {
-    // Gather the pivot with the smallest runtime degree (the same pivot the
-    // interpreter would pick), then shrink the set by intersecting the
-    // other pivots' neighbor lists where that is affordable.
+    // Gather the pivot with the smallest runtime degree (first wins ties),
+    // then shrink the set by intersecting the other pivots' neighbor lists
+    // where that is affordable.
     size_t best = 0;
     size_t best_deg = SIZE_MAX;
     for (size_t i = 0; i < step.pivots.size(); ++i) {
@@ -345,7 +261,7 @@ size_t Matcher::PlannedCandidates(SearchState* st, const PlanStep& step,
       *out = bufs.cand.data();
       return bufs.cand.size();
     }
-    // No join resolved at runtime: label scan, like the interpreter.
+    // No join resolved at runtime: label scan.
   }
 
   if (snap_ != nullptr) {
@@ -357,16 +273,6 @@ size_t Matcher::PlannedCandidates(SearchState* st, const PlanStep& step,
     std::sort(bufs.cand.begin(), bufs.cand.end());
   *out = bufs.cand.data();
   return bufs.cand.size();
-}
-
-// Next unbound var: prefer ones adjacent to the bound set; tie-break by the
-// graph-level frequency of the var's label (rarest first). Delegates to the
-// shared ordering policy in plan.h — the plan compiler runs the SAME code,
-// which is what keeps planned and interpreted variable orders identical.
-VarId Matcher::PickNextVar(const SearchState& st) const {
-  const std::vector<NodeId>& binding = st.s->binding;
-  return PickNextVarOrdered(
-      g_, p_, [&binding](VarId v) { return binding[v] != kInvalidNode; });
 }
 
 // All node vars bound: enumerate injective concrete-edge assignments for the
@@ -422,47 +328,9 @@ void Matcher::EnumerateEdges(SearchState* st, size_t edge_idx) const {
   }
 }
 
-void Matcher::Extend(SearchState* st) const {
-  if (st->stop) return;
-  if (++st->stats.expansions > st->opts->max_expansions) {
-    st->stats.exhausted = true;
-    st->stop = true;
-    return;
-  }
-  if (st->bound_count == p_.NumNodes()) {
-    // NACs first (cheap, node-level), then concrete edge enumeration.
-    for (const auto& nac : p_.nacs())
-      if (!EvalNac(g_, nac, st->s->binding)) return;
-    EnumerateEdges(st, 0);
-    return;
-  }
-  VarId var = PickNextVar(*st);
-  // Per-depth scratch: deeper recursion uses its own entry, so this level's
-  // list stays intact across the candidate loop.
-  std::vector<NodeId>& cands = st->s->depth[st->bound_count].cand;
-  bool sorted = false;
-  CandidatesFor(*st, var, &cands, &sorted);
-  // Deterministic (ascending) order helps tests and reproducibility; a
-  // snapshot's label/attr partitions arrive pre-sorted.
-  if (!sorted) std::sort(cands.begin(), cands.end());
-  st->obs_candidates += cands.size();
-  if (st->bound_count == st->root_depth) st->obs_seeds += cands.size();
-  for (size_t i = 0; i < cands.size(); ++i) {
-    NodeId cand = cands[i];
-    if (!CheckNewBinding(st, var, cand)) continue;
-    st->s->binding[var] = cand;
-    ++st->bound_count;
-    Extend(st);
-    --st->bound_count;
-    st->s->binding[var] = kInvalidNode;
-    if (st->stop) return;
-  }
-}
-
-// The compiled twin of Extend: same expansion accounting, same NAC/edge
-// tail, but the step (variable, candidate source, hoisted checks) comes
-// from the plan body instead of being re-derived.
-void Matcher::ExtendPlanned(SearchState* st, size_t depth) const {
+// One search level: bind the body's step `depth` from its candidate
+// source, recurse; past the last step, check NACs and enumerate edges.
+void Matcher::Extend(SearchState* st, size_t depth) const {
   if (st->stop) return;
   if (++st->stats.expansions > st->opts->max_expansions) {
     st->stats.exhausted = true;
@@ -481,18 +349,15 @@ void Matcher::ExtendPlanned(SearchState* st, size_t depth) const {
   uint32_t covered_pivots = 0;
   int covered_pred = -1;
   const size_t n =
-      PlannedCandidates(st, step, depth, &cands, &covered_pivots,
-                        &covered_pred);
+      StepCandidates(st, step, depth, &cands, &covered_pivots, &covered_pred);
   st->obs_candidates += n;
   if (depth == 0) st->obs_seeds += n;
   for (size_t i = 0; i < n; ++i) {
     NodeId cand = cands[i];
-    if (!CheckPlannedBinding(st, step, cand, covered_pivots, covered_pred))
+    if (!CheckStepBinding(st, step, cand, covered_pivots, covered_pred))
       continue;
     st->s->binding[step.var] = cand;
-    ++st->bound_count;
-    ExtendPlanned(st, depth + 1);
-    --st->bound_count;
+    Extend(st, depth + 1);
     st->s->binding[step.var] = kInvalidNode;
     if (st->stop) return;
   }
@@ -508,7 +373,9 @@ MatchStats Matcher::FindAll(const MatchOptions& opts,
   st.s->Prepare(p_.NumNodes(), p_.NumEdges());
   std::vector<NodeId>& binding = st.s->binding;
 
-  // Apply edge anchors (bind endpoints too).
+  // Apply edge anchors (bind endpoints too). The anchor mask names the
+  // body: bit v set = node var v bound before the first step.
+  uint32_t mask = 0;
   for (const auto& [idx, eid] : opts.edge_anchors) {
     if (idx >= p_.NumEdges() || !g_.EdgeAlive(eid)) return st.stats;
     const auto& pe = p_.edges()[idx];
@@ -518,7 +385,7 @@ MatchStats Matcher::FindAll(const MatchOptions& opts,
     if (binding[pe.src] == kInvalidNode) {
       if (!CheckNewBinding(&st, pe.src, v.src)) return st.stats;
       binding[pe.src] = v.src;
-      ++st.bound_count;
+      mask |= 1u << pe.src;
     } else if (binding[pe.src] != v.src) {
       return st.stats;
     }
@@ -526,7 +393,7 @@ MatchStats Matcher::FindAll(const MatchOptions& opts,
     if (binding[pe.dst] == kInvalidNode) {
       if (!CheckNewBinding(&st, pe.dst, v.dst)) return st.stats;
       binding[pe.dst] = v.dst;
-      ++st.bound_count;
+      mask |= 1u << pe.dst;
     } else if (binding[pe.dst] != v.dst) {
       return st.stats;
     }
@@ -540,27 +407,11 @@ MatchStats Matcher::FindAll(const MatchOptions& opts,
     }
     if (!CheckNewBinding(&st, var, node)) return st.stats;
     binding[var] = node;
-    ++st.bound_count;
+    mask |= 1u << var;
   }
 
-  st.root_depth = st.bound_count;
-
-  // Planned path: only when the plan was compiled for this exact pattern,
-  // the pruning heuristics it bakes in are enabled, and a body exists for
-  // this anchor shape. Everything else falls back to the interpreter — the
-  // emitted stream is identical either way.
-  if (plan_ != nullptr && opts.use_plan && opts.use_adjacency_pivot &&
-      opts.use_attr_join && plan_->usable() && plan_->pattern() == &p_) {
-    uint32_t mask = 0;
-    for (const auto& [idx, eid] : opts.edge_anchors)
-      mask |= (1u << p_.edges()[idx].src) | (1u << p_.edges()[idx].dst);
-    for (const auto& [var, node] : opts.node_anchors) mask |= 1u << var;
-    st.body = plan_->BodyFor(mask);
-  }
-  if (st.body != nullptr)
-    ExtendPlanned(&st, 0);
-  else
-    Extend(&st);
+  st.body = &bodies_.BodyFor(mask);
+  Extend(&st, 0);
 
   if (obs::MetricsEnabled()) {
     MatchMetrics& m = Metrics();
@@ -612,25 +463,26 @@ size_t Matcher::Count(size_t limit) const {
 }
 
 VarId Matcher::SeedVar() const {
-  if (p_.NumNodes() == 0) return kNoVar;
-  const auto unbound = [](VarId) { return false; };
-  return PickNextVarOrdered(g_, p_, unbound);
+  const PlanBody& body = bodies_.BodyFor(0);
+  return body.steps.empty() ? kNoVar : body.steps[0].var;
 }
 
 std::vector<NodeId> Matcher::SeedCandidates(VarId var) const {
-  MatchOptions opts;
+  const PlanBody& body = bodies_.BodyFor(0);
+  assert(!body.steps.empty() && body.steps[0].var == var);
+  (void)var;
   ScratchLease lease;
   SearchState st;
-  st.opts = &opts;
   st.s = lease.get();
   st.s->Prepare(p_.NumNodes(), p_.NumEdges());
-  std::vector<NodeId> cands;
-  bool sorted = false;
-  CandidatesFor(st, var, &cands, &sorted);
-  // Same deterministic order Extend() uses. Over a GraphSnapshot this is a
-  // contiguous-range copy with no sort at all.
-  if (!sorted) std::sort(cands.begin(), cands.end());
-  return cands;
+  // The unanchored search's first step binds from a constant attr join or
+  // the label index — over a GraphSnapshot a contiguous-range copy.
+  const NodeId* cands = nullptr;
+  uint32_t covered_pivots = 0;
+  int covered_pred = -1;
+  const size_t n = StepCandidates(&st, body.steps[0], 0, &cands,
+                                  &covered_pivots, &covered_pred);
+  return std::vector<NodeId>(cands, cands + n);
 }
 
 bool Matcher::Verify(const Match& m) const {

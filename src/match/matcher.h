@@ -3,11 +3,10 @@
 // components, early predicate evaluation, and NAC checking. Matching is
 // injective on node variables and on edge variables.
 //
-// Two execution paths share one emission contract: the interpreter re-derives
-// pivot/ordering decisions per expansion, while a compiled MatchPlan
-// (plan.h) replays them from precompiled steps with sorted-range candidate
-// intersection. Streams are bit-identical; MatchOptions::use_plan ablates
-// back to the interpreter.
+// Every search runs a compiled PlanBody (plan.h): the Matcher compiles the
+// body of each anchor shape on its first search with that shape and replays
+// its steps — fixed variable order, sorted-range candidate intersection,
+// hoisted checks — on every later one.
 #ifndef GREPAIR_MATCH_MATCHER_H_
 #define GREPAIR_MATCH_MATCHER_H_
 
@@ -17,11 +16,9 @@
 
 #include "graph/graph_view.h"
 #include "match/pattern.h"
+#include "match/plan.h"
 
 namespace grepair {
-
-class MatchPlan;
-struct PlanStep;
 
 /// One embedding of a pattern: nodes[i] is the image of node variable i,
 /// edges[j] the image of pattern edge j.
@@ -45,14 +42,6 @@ struct MatchOptions {
   std::vector<std::pair<size_t, EdgeId>> edge_anchors;
   /// Backtracking budget; exceeded searches stop early (stats.exhausted).
   size_t max_expansions = 50'000'000;
-  /// Ablation switches (benchmarked in F7/M9): when disabled, candidates
-  /// fall back to the label index and correctness is preserved — only the
-  /// candidate sets get larger.
-  bool use_adjacency_pivot = true;  ///< derive candidates from bound neighbors
-  bool use_attr_join = true;        ///< derive candidates from the attr index
-  /// Execute via the compiled plan when the Matcher was handed one
-  /// (bit-identical stream either way; false = interpreter ablation).
-  bool use_plan = true;
 };
 
 struct MatchStats {
@@ -66,15 +55,21 @@ using MatchCallback = std::function<bool(const Match&)>;
 
 /// Pattern-matching engine over one frozen graph state (any GraphView:
 /// the live Graph between mutations, or an immutable GraphSnapshot).
-/// Stateless between calls; cheap to construct.
+/// Cheap to construct: nothing compiles until the first search.
 ///
-/// `plan`, when given, must be compiled for this exact Pattern object over a
-/// view with the same label cardinalities (normally the same view); searches
-/// whose anchor shape has a compiled body then run the planned path.
+/// A Matcher keeps the body it compiles for each anchor shape for its whole
+/// lifetime, so two rules bind every instance:
+///   - it is used by one thread (the body table is unsynchronized; every
+///     parallel task builds its own Matcher);
+///   - it is not searched again after its graph mutates (a body fixes the
+///     variable order from the label counts it was compiled against; the
+///     repair loops build a fresh Matcher per fix, per task or per pass).
+/// Verify reads no body and is exempt from the second rule.
 class Matcher {
  public:
-  explicit Matcher(const GraphView& graph, const Pattern& pattern,
-                   const MatchPlan* plan = nullptr);
+  /// `pattern` must pass Pattern::Validate (at most kMaxPatternNodes
+  /// node variables).
+  Matcher(const GraphView& graph, const Pattern& pattern);
 
   /// Enumerates matches; stops at opts.max_matches or when cb returns false.
   MatchStats FindAll(const MatchOptions& opts, const MatchCallback& cb) const;
@@ -95,36 +90,34 @@ class Matcher {
   /// all elements alive, labels/adjacency intact, predicates and NACs hold.
   bool Verify(const Match& m) const;
 
-  /// The node variable an unanchored FindAll binds first, or kNoVar for a
-  /// node-less pattern. Deterministic for a given (graph, pattern) snapshot.
-  /// This is the sharding contract used by parallel::ParallelDetector: the
-  /// full enumeration order equals the concatenation, over SeedCandidates()
-  /// in order, of the anchored searches {SeedVar() -> candidate}.
+  /// The node variable an unanchored FindAll binds first (the first step
+  /// of the unanchored body), or kNoVar for a node-less pattern.
+  /// Deterministic for a given (graph, pattern) snapshot. This is the
+  /// sharding contract used by parallel::ParallelDetector: the full
+  /// enumeration order equals the concatenation, over SeedCandidates() in
+  /// order, of the anchored searches {SeedVar() -> candidate}.
   VarId SeedVar() const;
 
-  /// The candidates FindAll tries for SeedVar(), in enumeration (ascending
-  /// id) order. Every match binds SeedVar() to exactly one of these.
+  /// The candidates FindAll tries for `var`, which must be SeedVar(), in
+  /// enumeration (ascending id) order. Every match binds SeedVar() to
+  /// exactly one of these.
   std::vector<NodeId> SeedCandidates(VarId var) const;
 
  private:
   struct SearchState;
-  void Extend(SearchState* st) const;
-  void ExtendPlanned(SearchState* st, size_t depth) const;
+  void Extend(SearchState* st, size_t depth) const;
   void EnumerateEdges(SearchState* st, size_t edge_idx) const;
   bool CheckNewBinding(SearchState* st, VarId var, NodeId node) const;
-  bool CheckPlannedBinding(SearchState* st, const PlanStep& step, NodeId node,
-                           uint32_t covered_pivots, int covered_pred) const;
-  void CandidatesFor(const SearchState& st, VarId var, std::vector<NodeId>* out,
-                     bool* sorted) const;
-  size_t PlannedCandidates(SearchState* st, const PlanStep& step, size_t depth,
-                           const NodeId** out, uint32_t* covered_pivots,
-                           int* covered_pred) const;
-  VarId PickNextVar(const SearchState& st) const;
+  bool CheckStepBinding(SearchState* st, const PlanStep& step, NodeId node,
+                        uint32_t covered_pivots, int covered_pred) const;
+  size_t StepCandidates(SearchState* st, const PlanStep& step, size_t depth,
+                        const NodeId** out, uint32_t* covered_pivots,
+                        int* covered_pred) const;
 
   const GraphView& g_;
   const Pattern& p_;
-  const MatchPlan* plan_;
   const GraphSnapshot* snap_;  ///< non-null: zero-copy partition spans
+  mutable MatchPlan bodies_;   ///< compiled on first search per anchor shape
 };
 
 }  // namespace grepair

@@ -42,6 +42,10 @@ Result<size_t> Pattern::AddEdge(VarId src, VarId dst, SymbolId label) {
 Status Pattern::Validate() const {
   if (nodes_.empty())
     return Status::InvalidArgument("pattern has no node variables");
+  if (nodes_.size() > kMaxPatternNodes)
+    return Status::InvalidArgument(StrFormat(
+        "pattern has %zu node variables; at most %zu are supported",
+        nodes_.size(), kMaxPatternNodes));
   for (const auto& e : edges_)
     if (e.src >= nodes_.size() || e.dst >= nodes_.size())
       return Status::InvalidArgument("pattern edge endpoint out of range");

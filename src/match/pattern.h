@@ -17,6 +17,10 @@ namespace grepair {
 using VarId = uint32_t;
 inline constexpr VarId kNoVar = UINT32_MAX;
 
+/// Most node variables a pattern may have: the matcher keys its compiled
+/// bodies by a 32-bit mask of bound variables.
+inline constexpr size_t kMaxPatternNodes = 32;
+
 /// A node variable: matches alive nodes whose label equals `label`
 /// (label == 0 matches any label).
 struct PatternNode {
@@ -109,7 +113,8 @@ class Pattern {
   const std::vector<AttrPredicate>& predicates() const { return predicates_; }
   const std::vector<Nac>& nacs() const { return nacs_; }
 
-  /// Structural sanity: >= 1 node, edge endpoints valid, NAC vars valid.
+  /// Structural sanity: 1..kMaxPatternNodes nodes, edge endpoints valid,
+  /// NAC vars valid.
   Status Validate() const;
 
   /// Set of labels mentioned positively (nodes + edges); 0 excluded.

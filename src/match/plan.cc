@@ -11,7 +11,7 @@ namespace grepair {
 
 namespace {
 
-// Plan-layer instruments. Compiles are per-pass events (not
+// Plan-layer instruments. Compiles are per-Matcher events (not
 // per-expansion), so they add straight into the global registry.
 struct PlanMetrics {
   obs::Counter* compiles;
@@ -23,11 +23,27 @@ PlanMetrics& Metrics() {
     auto& reg = obs::MetricsRegistry::Global();
     return PlanMetrics{
         reg.GetCounter("grepair_plan_compiles_total",
-                       "Match plans compiled (pattern x view)."),
+                       "Match plan bodies compiled (one per Matcher per "
+                       "anchor shape searched)."),
         reg.GetCounter("grepair_plan_compile_us_total",
-                       "Microseconds spent compiling match plans.")};
+                       "Microseconds spent compiling match plan bodies.")};
   }();
   return m;
+}
+
+// One body compiles in well under a microsecond, so each thread carries
+// its sub-microsecond remainder into the next compile: the counter gets
+// every elapsed whole microsecond instead of a 0 per body.
+void RecordCompile(std::chrono::steady_clock::duration elapsed) {
+  static thread_local uint64_t carry_ns = 0;
+  carry_ns += static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
+  PlanMetrics& m = Metrics();
+  m.compiles->Add(1);
+  if (carry_ns >= 1000) {
+    m.compile_us->Add(carry_ns / 1000);
+    carry_ns %= 1000;
+  }
 }
 
 // The step list for one anchor shape: variable order from the shared
@@ -62,7 +78,7 @@ PlanBody CompileBody(const Pattern& p, const GraphView& g, uint32_t mask) {
       step.source = PlanStep::Source::kAdjacency;
     } else {
       // Attr-join sources in predicate order — the runtime takes the first
-      // whose value resolves, exactly like the interpreter's scan.
+      // whose value resolves.
       for (size_t pi = 0; pi < p.predicates().size(); ++pi) {
         const auto& pred = p.predicates()[pi];
         if (pred.op != CmpOp::kEq) continue;
@@ -98,8 +114,8 @@ PlanBody CompileBody(const Pattern& p, const GraphView& g, uint32_t mask) {
     // Node predicates that become fully decidable when `var` binds: they
     // mention var and every other node var they reference is already bound.
     // Predicates that stay partially unbound would evaluate kUnknown (a
-    // no-op) in the interpreter, so skipping them here changes nothing —
-    // they land on the step of their last-bound variable.
+    // no-op), so skipping them here changes nothing — they land on the step
+    // of their last-bound variable.
     for (size_t j = 0; j < p.predicates().size(); ++j) {
       const auto& pred = p.predicates()[j];
       if (PredicateUsesEdges(pred)) continue;
@@ -130,12 +146,7 @@ PlanBody CompileBody(const Pattern& p, const GraphView& g, uint32_t mask) {
 }  // namespace
 
 MatchPlan MatchPlan::Compile(const Pattern& pattern, const GraphView& g) {
-  MatchPlan plan;
-  plan.pattern_ = &pattern;
-  if (pattern.NumNodes() == 0 || pattern.NumNodes() > 32) return plan;
-
-  const auto t0 = std::chrono::steady_clock::now();
-
+  MatchPlan plan(pattern, g);
   // Every anchor shape the system searches with (see header).
   std::vector<uint32_t> masks;
   masks.push_back(0);
@@ -144,30 +155,20 @@ MatchPlan MatchPlan::Compile(const Pattern& pattern, const GraphView& g) {
     masks.push_back((1u << pe.src) | (1u << pe.dst));
   std::sort(masks.begin(), masks.end());
   masks.erase(std::unique(masks.begin(), masks.end()), masks.end());
-
-  plan.bodies_.reserve(masks.size());
-  for (uint32_t mask : masks)
-    plan.bodies_.push_back(CompileBody(pattern, g, mask));
-  plan.usable_ = true;
-
-  if (obs::MetricsEnabled()) {
-    const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-    PlanMetrics& m = Metrics();
-    m.compiles->Add(1);
-    m.compile_us->Add(static_cast<uint64_t>(us));
-  }
+  for (uint32_t mask : masks) plan.BodyFor(mask);
   return plan;
 }
 
-const PlanBody* MatchPlan::BodyFor(uint32_t anchor_mask) const {
-  if (!usable_) return nullptr;
-  auto it = std::lower_bound(
-      bodies_.begin(), bodies_.end(), anchor_mask,
-      [](const PlanBody& b, uint32_t mask) { return b.anchor_mask < mask; });
-  if (it == bodies_.end() || it->anchor_mask != anchor_mask) return nullptr;
-  return &*it;
+const PlanBody& MatchPlan::BodyFor(uint32_t anchor_mask) {
+  for (const auto& body : bodies_)
+    if (body->anchor_mask == anchor_mask) return *body;
+  const bool timed = obs::MetricsEnabled();
+  const auto t0 = timed ? std::chrono::steady_clock::now()
+                        : std::chrono::steady_clock::time_point{};
+  bodies_.push_back(
+      std::make_unique<PlanBody>(CompileBody(*p_, *g_, anchor_mask)));
+  if (timed) RecordCompile(std::chrono::steady_clock::now() - t0);
+  return *bodies_.back();
 }
 
 namespace {
@@ -189,11 +190,11 @@ std::string LabelName(const Vocabulary& vocab, SymbolId label) {
 std::string MatchPlan::Explain(const Vocabulary& vocab) const {
   std::string out;
   char buf[256];
-  if (!usable_) return "plan: unusable (interpreter fallback)\n";
   std::snprintf(buf, sizeof(buf), "plan: %zu bodies\n", bodies_.size());
   out += buf;
-  const Pattern& p = *pattern_;
-  for (const PlanBody& body : bodies_) {
+  const Pattern& p = *p_;
+  for (const auto& owned : bodies_) {
+    const PlanBody& body = *owned;
     if (body.anchor_mask == 0) {
       out += "body [unanchored]:\n";
     } else {
@@ -295,14 +296,6 @@ ScratchLease::ScratchLease() {
 
 ScratchLease::~ScratchLease() {
   if (s_) ScratchFreelist().push_back(std::move(s_));
-}
-
-std::vector<MatchPlan> CompilePlans(
-    const std::vector<const Pattern*>& patterns, const GraphView& g) {
-  std::vector<MatchPlan> plans;
-  plans.reserve(patterns.size());
-  for (const Pattern* p : patterns) plans.push_back(MatchPlan::Compile(*p, g));
-  return plans;
 }
 
 }  // namespace grepair

@@ -1,35 +1,32 @@
-// Compiled match plans: the pattern-interpretation work Matcher used to
-// redo per expansion — pivot selection, predicate scanning, variable
-// ordering — done ONCE per (pattern, graph state) and replayed by a typed
-// step list. A MatchPlan carries one PlanBody per anchor shape the system
-// searches with (the unanchored pass, every single-var anchor, every
-// edge-endpoint anchor pair); each body fixes the variable order and, per
-// step, the candidate source (adjacency pivots to intersect, attribute
-// joins to probe, or a label scan) plus the predicate checks that become
-// decidable at that step.
+// Compiled match bodies: the pattern-interpretation work of a search —
+// variable ordering, pivot selection, predicate scanning — done once per
+// anchor shape and replayed by a typed step list. A PlanBody fixes, for one
+// anchor shape (the mask of variables bound before the search starts), the
+// variable order and, per step, the candidate source (adjacency pivots to
+// intersect, attribute joins to probe, or a label scan) plus the predicate
+// checks that become decidable at that step.
 //
-// Determinism contract (the invariant every parallel layer builds on): a
-// planned search emits the EXACT match stream of the interpreted search.
-// Two facts make that hold by construction:
-//   1. the variable order is computed by the same ordering function the
-//      interpreter uses (PickNextVarOrdered below — Matcher::PickNextVar
-//      delegates to it), and the order depends only on the pattern, the
-//      bound-variable SET and graph label cardinalities, so it is static
-//      per (pattern, view, anchor shape);
-//   2. candidate lists on both paths are ascending and duplicate-free, and
-//      a candidate is accepted purely by per-binding checks (label,
-//      injectivity, adjacency, decidable predicates) — so SHRINKING a
-//      candidate set (intersection, tighter partitions) can never change
-//      the accepted sequence, only the work spent rejecting.
-// Expansion counts also match exactly (one expansion per accepted binding
-// plus the root), so budget truncation and the parallel detectors'
-// sequential-rerun gate fire identically. MatchOptions::use_plan is the
-// ablation switch back to the interpreter.
+// Every Matcher owns a MatchPlan: its body table. A body is compiled on the
+// first search with its shape, against the view the Matcher was built over,
+// and kept for the Matcher's lifetime. That is sound because the order
+// PickNextVarOrdered picks reads only the pattern, the bound-variable SET
+// and the view's label counts, and a Matcher is never searched again after
+// its graph mutates (matcher.h) — so a body compiled at search time fixes
+// exactly the order a per-expansion derivation would pick.
 //
-// Plans are compiled against a FROZEN view (a snapshot or a graph that is
-// not mutating). The cascade repair path mutates the graph between
-// searches and therefore stays on the interpreter (DESIGN.md "Match
-// planning").
+// Determinism contract (the invariant every parallel layer builds on):
+//   1. the variable order is static per (pattern, view, anchor shape);
+//   2. candidate lists are ascending and duplicate-free, and a candidate is
+//      accepted purely by per-binding checks (label, injectivity,
+//      adjacency, decidable predicates) — so SHRINKING a candidate set
+//      (intersection, tighter partitions) can never change the accepted
+//      sequence, only the work spent rejecting.
+// A search therefore emits its matches in lexicographic order of the node
+// images taken in the body's variable order, then in adjacency order of
+// each pattern edge (tests/test_matcher_property.cc checks this against a
+// brute-force enumerator). Expansion counts are one per accepted binding
+// plus the root, so budget truncation and the parallel detectors'
+// sequential-rerun gate fire at the same point for any fan-out.
 #ifndef GREPAIR_MATCH_PLAN_H_
 #define GREPAIR_MATCH_PLAN_H_
 
@@ -44,12 +41,11 @@
 
 namespace grepair {
 
-/// The one variable-ordering policy, shared verbatim by the interpreter
-/// (Matcher::PickNextVar) and the plan compiler so their orders cannot
-/// drift: prefer vars adjacent to the bound set, then vars reachable
-/// through an attr-join with a bound var or constant, then the rarest
-/// label; first var wins ties. `is_bound(v)` reports membership in the
-/// bound set — the ordering reads nothing else from the search state.
+/// The variable-ordering policy of the body compiler: prefer vars adjacent
+/// to the bound set, then vars reachable through an attr-join with a bound
+/// var or constant, then the rarest label; first var wins ties.
+/// `is_bound(v)` reports membership in the bound set — the ordering reads
+/// nothing else from the search state.
 template <typename BoundFn>
 VarId PickNextVarOrdered(const GraphView& g, const Pattern& p,
                          const BoundFn& is_bound) {
@@ -116,7 +112,7 @@ struct PlanPivot {
 };
 
 /// One usable EQ attr-join source for a step, in predicate order (the
-/// interpreter takes the first whose value resolves non-absent).
+/// search takes the first whose value resolves non-absent).
 struct PlanAttrJoin {
   SymbolId attr = 0;        ///< the step var's attribute
   VarId other_var = kNoVar; ///< kNoVar: constant join
@@ -139,7 +135,7 @@ struct PlanStep {
   /// ALL bound-adjacent pattern edges (non-empty iff source == kAdjacency):
   /// the runtime gathers the smallest pivot's neighbor list and intersects
   /// the affordable others; pivots left out of the intersection are checked
-  /// per candidate, exactly like the interpreter's adjacency loop.
+  /// per candidate with HasEdge.
   std::vector<PlanPivot> pivots;
   /// Self-loop pattern edges (src == dst == var), checked per candidate.
   std::vector<uint32_t> self_loops;
@@ -149,9 +145,9 @@ struct PlanStep {
   /// Indices into Pattern::predicates() that become fully decidable when
   /// `var` binds (node-only predicates whose other operand, if any, is
   /// bound by an earlier step or the anchor) — hoisted to this step so no
-  /// later step rescans them. NAC checks are NOT hoisted: the interpreter
-  /// runs them only at the full binding, and moving them would change
-  /// expansion counts under budget truncation.
+  /// later step rescans them. NAC checks are NOT hoisted: they run only at
+  /// the full binding, and moving them would change expansion counts (and
+  /// with them budget truncation points).
   std::vector<uint32_t> preds;
 };
 
@@ -162,48 +158,44 @@ struct PlanBody {
   std::vector<PlanStep> steps;  ///< one per unbound var, in search order
 };
 
-/// A compiled plan for one pattern over one frozen view. Immutable after
-/// Compile; safe to share read-only across pool workers.
+/// The body table of one pattern over one view: a PlanBody per anchor
+/// shape, compiled on first request and kept for the table's lifetime.
+/// Each Matcher owns one; like its Matcher, a table is used by one thread
+/// and never shared.
 class MatchPlan {
  public:
-  MatchPlan() = default;
+  MatchPlan(const Pattern& pattern, const GraphView& g)
+      : p_(&pattern), g_(&g) {}
 
-  /// Compiles bodies for every anchor shape the system searches with: the
-  /// empty mask (full detection seeding), each single-var mask (node
-  /// anchors, per-seed sharding), and each pattern edge's endpoint mask
-  /// (edge anchors). Patterns with more than 32 node vars get an unusable
-  /// plan (BodyFor always null) and fall back to the interpreter.
+  /// A table with the body of every anchor shape the system searches with
+  /// already compiled: the empty mask (full detection seeding), each
+  /// single-var mask (node anchors, per-seed sharding) and each pattern
+  /// edge's endpoint mask (edge anchors). For `explain_plan` and benches.
   static MatchPlan Compile(const Pattern& pattern, const GraphView& g);
 
-  /// The compiled body for an anchor shape, or nullptr when no body was
-  /// compiled for that mask (the caller falls back to the interpreter).
-  const PlanBody* BodyFor(uint32_t anchor_mask) const;
+  /// The body for an anchor shape (bit v set = node var v pre-bound),
+  /// compiled on first request. The reference stays valid for the table's
+  /// lifetime, also across later compiles.
+  const PlanBody& BodyFor(uint32_t anchor_mask);
 
-  /// The pattern this plan was compiled for (identity comparison — a plan
-  /// must never run against a different Pattern object).
-  const Pattern* pattern() const { return pattern_; }
-
-  bool usable() const { return usable_; }
-
-  /// Human-readable dump (the `explain_plan` CLI subcommand).
+  /// Human-readable dump of the compiled bodies, in compile order (the
+  /// `explain_plan` CLI subcommand).
   std::string Explain(const Vocabulary& vocab) const;
 
  private:
-  const Pattern* pattern_ = nullptr;
-  bool usable_ = false;
-  std::vector<PlanBody> bodies_;  ///< sorted by anchor_mask
+  const Pattern* p_;
+  const GraphView* g_;
+  std::vector<std::unique_ptr<PlanBody>> bodies_;  ///< in compile order
 };
 
-/// Per-thread reusable search workspace: bindings, edge dedup, and
-/// per-depth candidate buffers, so the planned hot loop allocates nothing
-/// after warm-up. Leased via ScratchLease — a thread-local freelist keeps
-/// one scratch per concurrent search on the thread (re-entrant callbacks
-/// that start nested searches lease their own).
+/// Per-thread reusable search workspace: bindings and per-depth candidate
+/// buffers, so the hot loop allocates nothing after warm-up. Leased via
+/// ScratchLease — a thread-local freelist keeps one scratch per concurrent
+/// search on the thread (re-entrant callbacks that start nested searches
+/// lease their own).
 struct MatchScratch {
   std::vector<NodeId> binding;       // var -> node (kInvalidNode = unbound)
   std::vector<EdgeId> edge_binding;  // pattern edge -> concrete edge
-  std::vector<NodeId> used_nodes;    // injectivity scratch (interpreter)
-  std::vector<EdgeId> used_edges;    // injective edge enumeration scratch
   struct DepthBufs {
     std::vector<uint32_t> cand;    // the step's candidate list
     std::vector<uint32_t> gather;  // pivot adjacency gather
@@ -216,8 +208,6 @@ struct MatchScratch {
   void Prepare(size_t num_vars, size_t num_edges) {
     binding.assign(num_vars, kInvalidNode);
     edge_binding.assign(num_edges, kInvalidEdge);
-    used_nodes.clear();
-    used_edges.clear();
     if (depth.size() < num_vars + 1) depth.resize(num_vars + 1);
   }
 };
@@ -237,11 +227,6 @@ class ScratchLease {
  private:
   std::unique_ptr<MatchScratch> s_;
 };
-
-/// Compiles one plan per rule pattern for a detection pass over a frozen
-/// view. Index-aligned with the pattern list.
-std::vector<MatchPlan> CompilePlans(
-    const std::vector<const Pattern*>& patterns, const GraphView& g);
 
 }  // namespace grepair
 

@@ -21,7 +21,6 @@ namespace {
 // slice index); each fills only its own slot.
 struct DeltaTask {
   RuleId rule;
-  const MatchPlan* plan = nullptr;  // compiled plan for this rule, if any
   bool edge_kind = false;          // true: edge anchors, false: node anchors
   bool aligned = false;            // slice is one storage shard's subset
   std::vector<EdgeId> edge_slice;  // ascending; used when edge_kind
@@ -35,7 +34,7 @@ struct DeltaTask {
 };
 
 void RunTask(const GraphView& g, const RuleSet& rules, DeltaTask* task) {
-  DeltaMatcher dm(g, rules[task->rule].pattern(), task->plan);
+  const DeltaMatcher dm(g, rules[task->rule].pattern());
   auto collect = [task](const Match& m) {
     task->out.push_back(m);
     return true;
@@ -111,20 +110,18 @@ ParallelDeltaDetector::ParallelDeltaDetector(ThreadPool* pool,
 
 MatchStats ParallelDeltaDetector::Detect(const GraphView& g, const RuleSet& rules,
                                          const std::vector<EditEntry>& delta,
-                                         const Emit& emit,
-                                         const MatchPlan* const* plans) const {
+                                         const Emit& emit) const {
   if (rules.empty()) return MatchStats{};
   // Anchor extraction never reads the pattern, so one computation (through
   // an arbitrary rule's DeltaMatcher) serves the whole rule set.
   return Detect(g, rules,
                 DeltaMatcher(g, rules[0].pattern()).ComputeAnchors(delta),
-                emit, plans);
+                emit);
 }
 
 MatchStats ParallelDeltaDetector::Detect(const GraphView& g, const RuleSet& rules,
                                          const DeltaMatcher::Anchors& anchors,
-                                         const Emit& emit,
-                                         const MatchPlan* const* plans) const {
+                                         const Emit& emit) const {
   MatchStats total;
   if (rules.empty()) return total;
   const size_t num_anchors = anchors.nodes.size() + anchors.edges.size();
@@ -133,7 +130,7 @@ MatchStats ParallelDeltaDetector::Detect(const GraphView& g, const RuleSet& rule
   // pool round-trip would dominate a handful of anchored searches.
   if (!WouldFanOut(num_anchors)) {
     for (RuleId r = 0; r < rules.size(); ++r) {
-      DeltaMatcher dm(g, rules[r].pattern(), plans ? plans[r] : nullptr);
+      DeltaMatcher dm(g, rules[r].pattern());
       MatchStats st = dm.FindDelta(anchors, [&](const Match& m) {
         emit(r, m);
         return true;
@@ -163,12 +160,10 @@ MatchStats ParallelDeltaDetector::Detect(const GraphView& g, const RuleSet& rule
     for (NodeId n : anchors.nodes)
       nodes_by[StorageShardOfNode(n, store_shards)].push_back(n);
     for (RuleId r = 0; r < rules.size(); ++r) {
-      const MatchPlan* plan = plans ? plans[r] : nullptr;
       for (size_t s = 0; s < store_shards; ++s) {
         if (edges_by[s].empty()) continue;
         DeltaTask t;
         t.rule = r;
-        t.plan = plan;
         t.edge_kind = true;
         t.aligned = true;
         t.edge_slice = edges_by[s];
@@ -178,7 +173,6 @@ MatchStats ParallelDeltaDetector::Detect(const GraphView& g, const RuleSet& rule
         if (nodes_by[s].empty()) continue;
         DeltaTask t;
         t.rule = r;
-        t.plan = plan;
         t.edge_kind = false;
         t.aligned = true;
         t.node_slice = nodes_by[s];
@@ -191,12 +185,10 @@ MatchStats ParallelDeltaDetector::Detect(const GraphView& g, const RuleSet& rule
                     : std::min(std::max<size_t>(1, max_shards), n);
     };
     for (RuleId r = 0; r < rules.size(); ++r) {
-      const MatchPlan* plan = plans ? plans[r] : nullptr;
       const size_t edge_slices = num_slices(anchors.edges.size());
       for (size_t s = 0; s < edge_slices; ++s) {
         DeltaTask t;
         t.rule = r;
-        t.plan = plan;
         t.edge_kind = true;
         auto [begin, end] = BlockRange(anchors.edges.size(), s, edge_slices);
         t.edge_slice.assign(anchors.edges.begin() + begin,
@@ -207,7 +199,6 @@ MatchStats ParallelDeltaDetector::Detect(const GraphView& g, const RuleSet& rule
       for (size_t s = 0; s < node_slices; ++s) {
         DeltaTask t;
         t.rule = r;
-        t.plan = plan;
         t.edge_kind = false;
         auto [begin, end] = BlockRange(anchors.nodes.size(), s, node_slices);
         t.node_slice.assign(anchors.nodes.begin() + begin,

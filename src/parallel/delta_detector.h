@@ -20,7 +20,10 @@
 // that exact visit order — block slices by concatenation, storage-aligned
 // slices by a per-anchor-count interleave — and applies the same per-rule
 // footprint dedup, so the surviving emission stream — and every stat —
-// equals the sequential run for any shard x thread combination.
+// equals the sequential run for any shard x thread combination. Every task
+// holds its own DeltaMatcher, whose one Matcher compiles the bodies of the
+// anchor shapes the task searches once and replays them for every anchor
+// of its slice — nothing compiled is shared across workers.
 //
 // Concurrency contract (DESIGN.md "Threading model"): the graph, rule set
 // and vocabulary must not be mutated while Detect runs.
@@ -64,21 +67,15 @@ class ParallelDeltaDetector {
   /// but parallel, including identical expansion counts (each anchored
   /// search carries its own budget in both paths). Early termination is not
   /// supported: emit returns void.
-  ///
-  /// `plans`, when non-null, is an array of rules.size() compiled-plan
-  /// pointers (entries may be null), index-aligned with the rule set and
-  /// compiled against `g`'s label cardinalities; every task of rule r (and
-  /// the sequential small-delta path) then matches through plans[r].
-  /// Streams are bit-identical with or without plans.
   MatchStats Detect(const GraphView& g, const RuleSet& rules,
-                    const std::vector<EditEntry>& delta, const Emit& emit,
-                    const MatchPlan* const* plans = nullptr) const;
+                    const std::vector<EditEntry>& delta,
+                    const Emit& emit) const;
 
   /// Same fan-out from precomputed anchors, for callers (the serving layer)
   /// that already extracted them for stats.
   MatchStats Detect(const GraphView& g, const RuleSet& rules,
-                    const DeltaMatcher::Anchors& anchors, const Emit& emit,
-                    const MatchPlan* const* plans = nullptr) const;
+                    const DeltaMatcher::Anchors& anchors,
+                    const Emit& emit) const;
 
   /// True when a delta with `num_anchors` anchors would fan out over the
   /// pool (rather than run the sequential loop on the calling thread).

@@ -19,7 +19,6 @@ namespace {
 // (rule id, shard index) order; each fills only its own slot.
 struct DetectTask {
   RuleId rule;
-  const MatchPlan* plan = nullptr;  // compiled plan for this rule, if any
   VarId seed_var = kNoVar;  // kNoVar: unsharded full FindAll
   bool aligned = false;     // seeds are one storage shard's subset
   std::vector<NodeId> seeds;  // ascending; used when seed_var != kNoVar
@@ -31,7 +30,7 @@ struct DetectTask {
 };
 
 void RunTask(const GraphView& g, const RuleSet& rules, DetectTask* task) {
-  const Matcher matcher(g, rules[task->rule].pattern(), task->plan);
+  const Matcher matcher(g, rules[task->rule].pattern());
   auto collect = [task](const Match& m) {
     task->out.push_back(m);
     return true;
@@ -80,8 +79,7 @@ ParallelDetector::ParallelDetector(ThreadPool* pool,
     : pool_(pool), options_(options) {}
 
 MatchStats ParallelDetector::Detect(const GraphView& g, const RuleSet& rules,
-                                    const Emit& emit,
-                                    const MatchPlan* const* plans) const {
+                                    const Emit& emit) const {
   size_t max_shards = options_.max_shards_per_rule
                           ? options_.max_shards_per_rule
                           : 2 * pool_->NumThreads();
@@ -89,13 +87,11 @@ MatchStats ParallelDetector::Detect(const GraphView& g, const RuleSet& rules,
 
   std::vector<DetectTask> tasks;
   for (RuleId r = 0; r < rules.size(); ++r) {
-    const MatchPlan* plan = plans ? plans[r] : nullptr;
     Matcher matcher(g, rules[r].pattern());
     VarId seed_var = matcher.SeedVar();
     if (seed_var == kNoVar) {  // node-less pattern: plain full FindAll
       DetectTask t;
       t.rule = r;
-      t.plan = plan;
       tasks.push_back(std::move(t));
       continue;
     }
@@ -106,7 +102,6 @@ MatchStats ParallelDetector::Detect(const GraphView& g, const RuleSet& rules,
     if (seeds.size() < options_.shard_min_seeds) {
       DetectTask t;
       t.rule = r;
-      t.plan = plan;
       t.seed_var = seed_var;
       t.seeds = std::move(seeds);
       tasks.push_back(std::move(t));
@@ -123,7 +118,6 @@ MatchStats ParallelDetector::Detect(const GraphView& g, const RuleSet& rules,
         if (by_shard[s].empty()) continue;
         DetectTask t;
         t.rule = r;
-        t.plan = plan;
         t.seed_var = seed_var;
         t.aligned = true;
         t.seeds = std::move(by_shard[s]);
@@ -137,7 +131,6 @@ MatchStats ParallelDetector::Detect(const GraphView& g, const RuleSet& rules,
     for (size_t s = 0; s < shards; ++s) {
       DetectTask t;
       t.rule = r;
-      t.plan = plan;
       t.seed_var = seed_var;
       auto [begin, end] = BlockRange(seeds.size(), s, shards);
       t.seeds.assign(seeds.begin() + begin, seeds.begin() + end);
@@ -181,7 +174,6 @@ MatchStats ParallelDetector::Detect(const GraphView& g, const RuleSet& rules,
     if (total < budget) continue;
     DetectTask seq;
     seq.rule = r;
-    seq.plan = plans ? plans[r] : nullptr;
     RunTask(g, rules, &seq);
     reruns.emplace(r, std::move(seq));
   }

@@ -18,7 +18,9 @@
 // match counts and are interleaved back into global ascending-seed order.
 // Both reproduce the exact sequential emission stream for any shard x
 // thread combination. Workers only read the graph; emission happens on the
-// calling thread after all tasks complete.
+// calling thread after all tasks complete. Every task builds its own
+// Matcher, which compiles the bodies its searches need (one per anchor
+// shape) — nothing compiled is shared across workers.
 //
 // Concurrency contract (DESIGN.md "Threading model"): the graph, rule set
 // and vocabulary must not be mutated while Detect runs. Matching never
@@ -67,14 +69,8 @@ class ParallelDetector {
   /// rule hits the expansion budget: a sharded rule whose total expansions
   /// reach the sequential budget is re-run sequentially so its truncation
   /// point matches the single-budget search exactly.
-  ///
-  /// `plans`, when non-null, is an array of rules.size() pointers to
-  /// compiled MatchPlans (entries may be null), index-aligned with the rule
-  /// set and compiled against `g`'s label cardinalities; every task of rule
-  /// r (and its sequential rerun) then matches through plans[r]. Streams
-  /// are bit-identical with or without plans.
-  MatchStats Detect(const GraphView& g, const RuleSet& rules, const Emit& emit,
-                    const MatchPlan* const* plans = nullptr) const;
+  MatchStats Detect(const GraphView& g, const RuleSet& rules,
+                    const Emit& emit) const;
 
  private:
   ThreadPool* pool_;

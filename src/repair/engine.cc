@@ -8,7 +8,6 @@
 
 #include "graph/snapshot.h"
 #include "match/incremental.h"
-#include "match/plan.h"
 #include "parallel/parallel_detector.h"
 #include "parallel/thread_pool.h"
 #include "repair/interaction.h"
@@ -41,31 +40,17 @@ size_t DetectInto(const GraphView& g, const RuleSet& rules,
     // store receives the exact sequential seeding either way.
     std::unique_ptr<GraphSnapshot> built;
     const GraphView& view = SnapshotForPass(src, &built);
-    // Compile each rule's pattern once for the pass; every worker task of a
-    // rule then replays its plan instead of re-interpreting the pattern.
-    std::vector<const Pattern*> patterns;
-    patterns.reserve(rules.size());
-    for (RuleId r = 0; r < rules.size(); ++r)
-      patterns.push_back(&rules[r].pattern());
-    const std::vector<MatchPlan> plans = CompilePlans(patterns, view);
-    std::vector<const MatchPlan*> plan_ptrs;
-    plan_ptrs.reserve(plans.size());
-    for (const MatchPlan& p : plans) plan_ptrs.push_back(&p);
     ParallelDetector detector(pool);
-    MatchStats st = detector.Detect(
-        view, rules,
-        [&](RuleId r, const Match& m) {
-          double cost = FixCost(view, rules[r], m, model, conf_attr);
-          store->Add(r, m, cost);
-        },
-        plan_ptrs.data());
+    MatchStats st = detector.Detect(view, rules, [&](RuleId r, const Match& m) {
+      double cost = FixCost(view, rules[r], m, model, conf_attr);
+      store->Add(r, m, cost);
+    });
     if (expansions) *expansions += st.expansions;
     return store->Size();
   }
   for (RuleId r = 0; r < rules.size(); ++r) {
     const Rule& rule = rules[r];
-    const MatchPlan plan = MatchPlan::Compile(rule.pattern(), src);
-    Matcher matcher(src, rule.pattern(), &plan);
+    Matcher matcher(src, rule.pattern());
     MatchOptions opts;
     MatchStats st = matcher.FindAll(opts, [&](const Match& m) {
       double cost = FixCost(src, rule, m, model, conf_attr);
@@ -211,17 +196,8 @@ Result<RepairResult> RepairEngine::RunGreedy(
     if (!store.PopBest(&v)) break;
     // Re-verify alternatives against the live graph; choose the cheapest.
     const Rule& rule = rules[v.rule];
-    Matcher matcher(*g, rule.pattern());
-    const Match* best = nullptr;
-    double best_cost = std::numeric_limits<double>::infinity();
-    for (const Match& alt : v.alternatives) {
-      if (!matcher.Verify(alt)) continue;
-      double c = FixCost(*g, rule, alt, options_.cost_model, conf);
-      if (c < best_cost) {
-        best_cost = c;
-        best = &alt;
-      }
-    }
+    const Match* best = CheapestLiveAlternative(*g, rule, v.alternatives,
+                                                options_.cost_model, conf);
     if (best == nullptr) continue;  // stale violation
 
     size_t mark = g->JournalSize();
@@ -368,18 +344,10 @@ Result<RepairResult> RepairEngine::RunBatch(Graph* g,
     std::vector<Cand> cands;
     Violation v;
     while (store.PopBest(&v)) {
-      const Rule& rule = rules[v.rule];
-      Matcher matcher(*g, rule.pattern());
-      const Match* best = nullptr;
-      double best_cost = std::numeric_limits<double>::infinity();
-      for (const Match& alt : v.alternatives) {
-        if (!matcher.Verify(alt)) continue;
-        double c = FixCost(*g, rule, alt, options_.cost_model, conf);
-        if (c < best_cost) {
-          best_cost = c;
-          best = &alt;
-        }
-      }
+      double best_cost = 0;
+      const Match* best =
+          CheapestLiveAlternative(*g, rules[v.rule], v.alternatives,
+                                  options_.cost_model, conf, &best_cost);
       if (best) cands.push_back({v.rule, *best, best_cost});
     }
     if (cands.empty()) break;

@@ -1,6 +1,7 @@
 #include "repair/fix.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/strings.h"
 
@@ -70,6 +71,25 @@ double FixCost(const GraphView& g, const Rule& rule, const Match& match,
   }
   double prio = rule.priority() > 0 ? rule.priority() : 1.0;
   return cost / prio;
+}
+
+const Match* CheapestLiveAlternative(const GraphView& g, const Rule& rule,
+                                     const std::vector<Match>& alternatives,
+                                     const CostModel& model,
+                                     SymbolId conf_attr, double* cost) {
+  const Matcher matcher(g, rule.pattern());
+  const Match* best = nullptr;
+  double best_cost = std::numeric_limits<double>::infinity();
+  for (const Match& alt : alternatives) {
+    if (!matcher.Verify(alt)) continue;
+    const double c = FixCost(g, rule, alt, model, conf_attr);
+    if (c < best_cost) {
+      best_cost = c;
+      best = &alt;
+    }
+  }
+  if (cost != nullptr) *cost = best_cost;
+  return best;
 }
 
 Result<AppliedFix> ApplyFix(Graph* g, RuleId rule_id, const Rule& rule,

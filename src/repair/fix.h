@@ -39,6 +39,16 @@ struct AppliedFix {
 double FixCost(const GraphView& g, const Rule& rule, const Match& match,
                const CostModel& model, SymbolId conf_attr);
 
+/// The alternative a repair loop applies for one violation: the first
+/// strictly cheapest (by FixCost) of `alternatives` that still verifies
+/// against `g`'s current state, or nullptr when none does (a stale
+/// violation). Its cost goes to `*cost` when non-null.
+const Match* CheapestLiveAlternative(const GraphView& g, const Rule& rule,
+                                     const std::vector<Match>& alternatives,
+                                     const CostModel& model,
+                                     SymbolId conf_attr,
+                                     double* cost = nullptr);
+
 /// Applies `rule`'s action at `match`. The caller must have verified the
 /// match against the current graph. MERGE keeps the lower node id (the
 /// deterministic survivor policy).

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <limits>
 #include <map>
 #include <stdexcept>
 #include <unordered_map>
@@ -12,7 +11,6 @@
 
 #include "graph/graph_io.h"
 #include "match/incremental.h"
-#include "match/plan.h"
 #include "obs/trace.h"
 #include "repair/fix.h"
 #include "storage/checkpoint.h"
@@ -551,28 +549,16 @@ Result<BatchResult> RepairService::Commit() {
     // directly. Reads are bit-identical either way (tests/test_snapshot.cc,
     // tests/test_snapshot_patch.cc).
     const GraphView* view = &graph_;
-    // Frozen-view passes match through plans compiled for the pass
-    // (compiling the 10 KG rules takes ~25 µs against a 10–13 ms planned
-    // pass); the live-graph path stays on the interpreter — both streams
-    // are bit-identical.
-    std::vector<MatchPlan> plans;
-    std::vector<const MatchPlan*> plan_ptrs;
     if (detector.WouldFanOut(anchors.nodes.size() + anchors.edges.size())) {
       view = &AcquireSnapshot(&res);
       res.snapshot_reads = true;
       m_snapshot_batches_->Add(1);
-      plans.reserve(rules_.size());
-      for (RuleId r = 0; r < rules_.size(); ++r)
-        plans.push_back(MatchPlan::Compile(rules_[r].pattern(), *view));
-      for (const MatchPlan& p : plans) plan_ptrs.push_back(&p);
     }
-    MatchStats st = detector.Detect(
-        *view, rules_, anchors,
-        [&](RuleId r, const Match& m) {
+    MatchStats st =
+        detector.Detect(*view, rules_, anchors, [&](RuleId r, const Match& m) {
           store_.Add(r, m,
                      FixCost(*view, rules_[r], m, options_.cost_model, conf));
-        },
-        plan_ptrs.empty() ? nullptr : plan_ptrs.data());
+        });
     res.expansions += st.expansions;
     res.detect_ms = t.ElapsedMs();
     m_detect_ms_->Observe(res.detect_ms);
@@ -591,17 +577,8 @@ Result<BatchResult> RepairService::Commit() {
     }
     if (!store_.PopBest(&v)) break;
     const Rule& rule = rules_[v.rule];
-    Matcher matcher(graph_, rule.pattern());
-    const Match* best = nullptr;
-    double best_cost = std::numeric_limits<double>::infinity();
-    for (const Match& alt : v.alternatives) {
-      if (!matcher.Verify(alt)) continue;
-      double c = FixCost(graph_, rule, alt, options_.cost_model, conf);
-      if (c < best_cost) {
-        best_cost = c;
-        best = &alt;
-      }
-    }
+    const Match* best = CheapestLiveAlternative(graph_, rule, v.alternatives,
+                                                options_.cost_model, conf);
     if (best == nullptr) continue;  // stale violation
 
     size_t mark = graph_.JournalSize();
@@ -1148,10 +1125,7 @@ Result<PublishedDetect> RepairService::DetectPublished(
   out.batch = lease->batch;
   for (RuleId r = 0; r < rules_.size(); ++r) {
     if (!rule_filter.empty() && rules_[r].name() != rule_filter) continue;
-    // Compiled per read against the pinned frozen view, like the offline
-    // sequential seed pass.
-    const MatchPlan plan = MatchPlan::Compile(rules_[r].pattern(), view);
-    Matcher matcher(view, rules_[r].pattern(), &plan);
+    Matcher matcher(view, rules_[r].pattern());
     MatchOptions opts;
     MatchStats st = matcher.FindAll(opts, [&](const Match& m) {
       folded.Add(r, m, FixCost(view, rules_[r], m, CostModel{}, 0));

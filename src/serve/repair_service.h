@@ -251,7 +251,7 @@ struct EditApplied {
 
 /// One lock-free detection pass over the published generation (`detect`
 /// verb). Counts are bit-identical to offline `grepair detect` against the
-/// same committed batch (the plan determinism contract).
+/// same committed batch (the match-order contract, match/plan.h).
 struct PublishedDetect {
   uint64_t generation = 0;  ///< publication the pass ran against
   uint64_t batch = 0;       ///< committed batch that publication mirrors
@@ -365,7 +365,7 @@ class RepairService {
   /// kNotFound = unknown rule filter.
 
   /// Full (or rule-filtered, `rule_filter` non-empty) detection over the
-  /// published generation, with match plans compiled for the pass.
+  /// published generation, one Matcher per rule over the pinned view.
   Result<PublishedDetect> DetectPublished(const std::string& rule_filter) const;
 
   /// One page of the published violation backlog.

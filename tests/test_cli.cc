@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 
 #include "cli/cli.h"
 
@@ -136,6 +138,56 @@ TEST_F(CliTest, MissingFilesReported) {
   EXPECT_EQ(Run({"stats", "/nonexistent/g.tsv"}, &out), 1);
   EXPECT_NE(out.find("NOT_FOUND"), std::string::npos);
   EXPECT_EQ(Run({"detect", "/nonexistent/a", "/nonexistent/b"}, &out), 1);
+}
+
+TEST_F(CliTest, ExplainPlanPrintsEveryRulesBodies) {
+  std::string graph = Track(Tmp("g_explain.tsv"));
+  std::string rules = Track(Tmp("r_explain.grr"));
+  std::string out;
+  ASSERT_EQ(Run({"gen", "kg", "--out", graph, "--rules-out", rules,
+                 "--scale", "200"},
+                &out),
+            0)
+      << out;
+  std::ifstream in(rules);
+  size_t num_rules = 0;
+  for (std::string line; std::getline(in, line);) {
+    std::istringstream words(line);
+    std::string first;
+    if (words >> first && first == "RULE") ++num_rules;
+  }
+  ASSERT_GT(num_rules, 0u);
+
+  ASSERT_EQ(Run({"explain_plan", graph, rules}, &out), 0) << out;
+  // One "rule N:" block per rule, in rule order, each printing at least the
+  // unanchored body and its first step.
+  std::vector<size_t> starts;
+  for (size_t r = 0; r <= num_rules; ++r) {
+    const std::string head = "rule " + std::to_string(r) + ": ";
+    const size_t at = out.find(head);
+    const bool at_line_start = at != std::string::npos &&
+                               (at == 0 || out[at - 1] == '\n');
+    if (r == num_rules) {
+      EXPECT_FALSE(at_line_start) << "extra block " << r << "\n" << out;
+      break;
+    }
+    ASSERT_TRUE(at_line_start) << "no block for rule " << r << "\n" << out;
+    starts.push_back(at);
+  }
+  starts.push_back(out.size());
+  for (size_t r = 0; r < num_rules; ++r) {
+    const std::string block = out.substr(starts[r], starts[r + 1] - starts[r]);
+    EXPECT_NE(block.find("body [unanchored]:"), std::string::npos) << block;
+    EXPECT_NE(block.find("step 1: bind"), std::string::npos) << block;
+  }
+
+  // A missing input is reported exactly as the other verbs report it.
+  EXPECT_EQ(Run({"explain_plan", "/nonexistent/a", "/nonexistent/b"}, &out),
+            1);
+  const std::string explain_err = out;
+  EXPECT_NE(explain_err.find("NOT_FOUND"), std::string::npos) << explain_err;
+  EXPECT_EQ(Run({"detect", "/nonexistent/a", "/nonexistent/b"}, &out), 1);
+  EXPECT_EQ(explain_err, out);
 }
 
 TEST_F(CliTest, BadFlagsReported) {

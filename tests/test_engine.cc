@@ -1,8 +1,10 @@
 // Repair engine tests across all strategies on hand-built scenarios.
 #include <gtest/gtest.h>
 
+#include "eval/experiment.h"
 #include "grr/rule_parser.h"
 #include "repair/engine.h"
+#include "util/hash.h"
 
 namespace grepair {
 namespace {
@@ -323,6 +325,121 @@ TEST_F(EngineTest, NullGraphRejected) {
   RuleSet rules;
   auto res = engine.Run(nullptr, rules);
   EXPECT_FALSE(res.ok());
+}
+
+// ------------------------------------------------------ golden outcomes
+// Greedy repairs of seeded generator bundles at 1 and 2 threads, pinned:
+// the applied-fix count, a hash over the fixes in order, the violations
+// left, the matcher expansions and the final graph fingerprint. Match
+// emission order, candidate pruning and fix selection (ties go to the first
+// strictly cheapest alternative) all feed these numbers, so a change to any
+// of them shows here. The constants were recorded with the interpreted
+// matcher, before it was deleted; the compiled matcher reproduces them.
+
+struct GoldenOutcome {
+  size_t fixes;
+  uint64_t fix_hash;
+  size_t remaining;
+  size_t expansions;
+  uint64_t fingerprint;
+};
+
+uint64_t HashFixes(const std::vector<AppliedFix>& fixes) {
+  uint64_t h = 0;
+  for (const AppliedFix& f : fixes) {
+    h = HashCombine(h, f.rule);
+    h = HashCombine(h, static_cast<uint64_t>(f.kind));
+    h = HashCombine(h, f.node_a);
+    h = HashCombine(h, f.node_b);
+    h = HashCombine(h, f.label);
+    h = HashCombine(h, f.attr);
+    h = HashCombine(h, f.value);
+    h = HashCombine(h, f.new_node);
+  }
+  return h;
+}
+
+void ExpectGoldenRepair(const Result<DatasetBundle>& built, size_t threads,
+                        const GoldenOutcome& want) {
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const DatasetBundle& bundle = built.value();
+  Graph g = bundle.graph.Clone();
+  RepairOptions opt;
+  opt.num_threads = threads;
+  auto r = RepairEngine(opt).Run(&g, bundle.rules);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const RepairResult& res = r.value();
+  const GoldenOutcome got{res.applied.size(), HashFixes(res.applied),
+                          res.remaining_violations, res.matcher_expansions,
+                          g.Fingerprint()};
+  const std::string where = bundle.name + " threads=" +
+                            std::to_string(threads) + " got {" +
+                            std::to_string(got.fixes) + ", " +
+                            std::to_string(got.fix_hash) + "ull, " +
+                            std::to_string(got.remaining) + ", " +
+                            std::to_string(got.expansions) + ", " +
+                            std::to_string(got.fingerprint) + "ull}";
+  EXPECT_EQ(got.fixes, want.fixes) << where;
+  EXPECT_EQ(got.fix_hash, want.fix_hash) << where;
+  EXPECT_EQ(got.remaining, want.remaining) << where;
+  EXPECT_EQ(got.expansions, want.expansions) << where;
+  EXPECT_EQ(got.fingerprint, want.fingerprint) << where;
+}
+
+InjectOptions GoldenInjection() {
+  InjectOptions iopt;
+  iopt.rate = 0.08;
+  return iopt;
+}
+
+Result<DatasetBundle> GoldenKg() {
+  KgOptions gopt;
+  gopt.num_persons = 1500;
+  return MakeKgBundle(gopt, GoldenInjection());
+}
+
+Result<DatasetBundle> GoldenSocial() {
+  SocialOptions gopt;
+  gopt.num_persons = 1000;
+  return MakeSocialBundle(gopt, GoldenInjection());
+}
+
+Result<DatasetBundle> GoldenCitation() {
+  CitationOptions gopt;
+  gopt.num_papers = 800;
+  gopt.num_authors = 300;
+  return MakeCitationBundle(gopt, GoldenInjection());
+}
+
+// Indexed by thread count - 1. A 2-thread full pass shards rules by seed
+// and counts no root expansion per sharded rule, so only the expansion
+// count differs between the two.
+constexpr GoldenOutcome kKgGolden[2] = {
+    {431, 10816013893858411546ull, 0, 28986, 6434168300345674036ull},
+    {431, 10816013893858411546ull, 0, 28976, 6434168300345674036ull}};
+constexpr GoldenOutcome kSocialGolden[2] = {
+    {287, 1422121527281215708ull, 0, 22312, 12614167330054304599ull},
+    {287, 1422121527281215708ull, 0, 22308, 12614167330054304599ull}};
+constexpr GoldenOutcome kCitationGolden[2] = {
+    {100, 3485240924153273388ull, 0, 3826, 13321855126393020223ull},
+    {100, 3485240924153273388ull, 0, 3822, 13321855126393020223ull}};
+
+TEST(GoldenRepairTest, KgGreedyOutcomePinned) {
+  const Result<DatasetBundle> bundle = GoldenKg();
+  for (size_t threads : {1u, 2u})
+    ExpectGoldenRepair(bundle, threads, kKgGolden[threads - 1]);
+}
+
+TEST(GoldenRepairTest, SocialGreedyOutcomePinned) {
+  const Result<DatasetBundle> bundle = GoldenSocial();
+  for (size_t threads : {1u, 2u})
+    ExpectGoldenRepair(bundle, threads, kSocialGolden[threads - 1]);
+}
+
+TEST(GoldenRepairTest, CitationGreedyOutcomePinned) {
+  const Result<DatasetBundle> bundle = GoldenCitation();
+  for (size_t threads : {1u, 2u})
+    ExpectGoldenRepair(bundle, threads, kCitationGolden[threads - 1]);
 }
 
 }  // namespace

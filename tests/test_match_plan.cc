@@ -1,8 +1,9 @@
 // Compiled match-plan tests: the vectorized intersection kernels on
-// adversarial range shapes, the central bit-identical-stream guarantee
-// (planned == interpreted FindAll on generator graphs, anchored and NAC
-// patterns, and through both parallel detectors for every shard x thread
-// combination).
+// adversarial range shapes, budget truncation as a stream prefix, both
+// parallel detectors against the sequential matcher for every shard x
+// thread combination, and the explain dump. The exact emission order of a
+// single search is checked against a brute-force enumerator in
+// tests/test_matcher_property.cc.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +19,7 @@
 #include "match/intersect.h"
 #include "match/matcher.h"
 #include "match/plan.h"
+#include "obs/metrics.h"
 #include "parallel/delta_detector.h"
 #include "parallel/parallel_detector.h"
 #include "parallel/thread_pool.h"
@@ -101,48 +103,21 @@ TEST(IntersectTest, SortUniqueIds) {
   EXPECT_TRUE(empty.empty());
 }
 
-// ------------------------------------------------- planned == interpreted
+// ------------------------------------------------------ sequential streams
 
 using Stream = std::vector<std::pair<RuleId, Match>>;
 
-// Full per-rule FindAll stream through the interpreter (use_plan=false).
-Stream InterpretedStream(const GraphView& g, const RuleSet& rules) {
+// Full per-rule FindAll stream through one sequential Matcher per rule.
+Stream SequentialStream(const GraphView& g, const RuleSet& rules) {
   Stream out;
   for (RuleId r = 0; r < rules.size(); ++r) {
     Matcher m(g, rules[r].pattern());
-    MatchOptions opts;
-    opts.use_plan = false;
-    m.FindAll(opts, [&](const Match& match) {
-      out.emplace_back(r, match);
-      return true;
-    });
-  }
-  return out;
-}
-
-// Same stream through compiled plans.
-Stream PlannedStream(const GraphView& g, const RuleSet& rules) {
-  std::vector<const Pattern*> patterns;
-  for (RuleId r = 0; r < rules.size(); ++r)
-    patterns.push_back(&rules[r].pattern());
-  std::vector<MatchPlan> plans = CompilePlans(patterns, g);
-  Stream out;
-  for (RuleId r = 0; r < rules.size(); ++r) {
-    Matcher m(g, rules[r].pattern(), &plans[r]);
     m.FindAll(MatchOptions{}, [&](const Match& match) {
       out.emplace_back(r, match);
       return true;
     });
   }
   return out;
-}
-
-void ExpectSameStream(const Stream& a, const Stream& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].first, b[i].first) << "emission " << i;
-    EXPECT_EQ(a[i].second, b[i].second) << "emission " << i;
-  }
 }
 
 DatasetBundle SmallKg() {
@@ -158,205 +133,42 @@ DatasetBundle SmallKg() {
   return std::move(b).value();
 }
 
-TEST(MatchPlanTest, KgPlannedMatchesInterpreted) {
-  DatasetBundle bundle = SmallKg();
-  GraphSnapshot snap(bundle.graph);
-  ExpectSameStream(InterpretedStream(snap, bundle.rules),
-                   PlannedStream(snap, bundle.rules));
-}
-
-TEST(MatchPlanTest, SocialPlannedMatchesInterpreted) {
-  SocialOptions gopt;
-  gopt.num_persons = 400;
-  InjectOptions iopt;
-  iopt.rate = 0.08;
-  auto b = MakeSocialBundle(gopt, iopt);
-  ASSERT_TRUE(b.ok()) << b.status().ToString();
-  GraphSnapshot snap(b.value().graph);
-  ExpectSameStream(InterpretedStream(snap, b.value().rules),
-                   PlannedStream(snap, b.value().rules));
-}
-
-TEST(MatchPlanTest, CitationPlannedMatchesInterpreted) {
-  CitationOptions gopt;
-  gopt.num_papers = 300;
-  gopt.num_authors = 120;
-  InjectOptions iopt;
-  iopt.rate = 0.08;
-  auto b = MakeCitationBundle(gopt, iopt);
-  ASSERT_TRUE(b.ok()) << b.status().ToString();
-  GraphSnapshot snap(b.value().graph);
-  ExpectSameStream(InterpretedStream(snap, b.value().rules),
-                   PlannedStream(snap, b.value().rules));
-}
-
-// Stats parity: identical expansion counts are what make budget truncation
-// and the parallel detector's sequential-rerun trigger fire identically.
-TEST(MatchPlanTest, ExpansionCountsMatchInterpreter) {
-  DatasetBundle bundle = SmallKg();
-  GraphSnapshot snap(bundle.graph);
-  std::vector<const Pattern*> patterns;
-  for (RuleId r = 0; r < bundle.rules.size(); ++r)
-    patterns.push_back(&bundle.rules[r].pattern());
-  std::vector<MatchPlan> plans = CompilePlans(patterns, snap);
-  for (RuleId r = 0; r < bundle.rules.size(); ++r) {
-    MatchOptions interp;
-    interp.use_plan = false;
-    MatchStats a =
-        Matcher(snap, bundle.rules[r].pattern())
-            .FindAll(interp, [](const Match&) { return true; });
-    MatchStats b =
-        Matcher(snap, bundle.rules[r].pattern(), &plans[r])
-            .FindAll(MatchOptions{}, [](const Match&) { return true; });
-    EXPECT_EQ(a.expansions, b.expansions) << "rule " << r;
-    EXPECT_EQ(a.matches, b.matches) << "rule " << r;
-    EXPECT_EQ(a.exhausted, b.exhausted) << "rule " << r;
-  }
-}
-
-// Budget truncation must cut the planned stream at the same match.
-TEST(MatchPlanTest, TruncationPointMatchesInterpreter) {
+// A budget cuts the stream, never reorders it: for every budget the
+// budgeted stream is a prefix of the unbudgeted one.
+TEST(MatchPlanTest, BudgetedStreamIsPrefixOfFullStream) {
   DatasetBundle bundle = SmallKg();
   GraphSnapshot snap(bundle.graph);
   for (RuleId r = 0; r < bundle.rules.size(); ++r) {
     const Pattern& p = bundle.rules[r].pattern();
-    MatchPlan plan = MatchPlan::Compile(p, snap);
+    const std::vector<Match> full = Matcher(snap, p).Collect();
     for (size_t budget : {1u, 7u, 50u, 500u}) {
-      MatchOptions interp;
-      interp.use_plan = false;
-      interp.max_expansions = budget;
-      MatchOptions planned;
-      planned.max_expansions = budget;
-      std::vector<Match> a, b;
-      Matcher(snap, p).FindAll(interp, [&](const Match& m) {
-        a.push_back(m);
-        return true;
-      });
-      Matcher(snap, p, &plan).FindAll(planned, [&](const Match& m) {
-        b.push_back(m);
-        return true;
-      });
-      ASSERT_EQ(a.size(), b.size()) << "rule " << r << " budget " << budget;
-      for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
+      MatchOptions opts;
+      opts.max_expansions = budget;
+      const std::vector<Match> cut = Matcher(snap, p).CollectWith(opts);
+      ASSERT_LE(cut.size(), full.size()) << "rule " << r << " budget "
+                                         << budget;
+      for (size_t i = 0; i < cut.size(); ++i)
+        EXPECT_EQ(cut[i], full[i]) << "rule " << r << " budget " << budget;
     }
   }
 }
 
-// ------------------------------------- anchored and NAC patterns, planned
+// ------------------------------------------------------ parallel detectors
 
-class PlanFixtureTest : public ::testing::Test {
- protected:
-  PlanFixtureTest() : vocab_(MakeVocabulary()), g_(vocab_) {
-    a_ = vocab_->Label("A");
-    b_ = vocab_->Label("B");
-    e_ = vocab_->Label("e");
-    f_ = vocab_->Label("f");
-  }
-
-  // Planned and interpreted CollectWith must agree exactly.
-  void ExpectParity(const Pattern& p, const MatchOptions& base) {
-    GraphSnapshot snap(g_);
-    MatchPlan plan = MatchPlan::Compile(p, snap);
-    MatchOptions interp = base;
-    interp.use_plan = false;
-    std::vector<Match> want = Matcher(snap, p).CollectWith(interp);
-    std::vector<Match> got = Matcher(snap, p, &plan).CollectWith(base);
-    ASSERT_EQ(want.size(), got.size());
-    for (size_t i = 0; i < want.size(); ++i) EXPECT_EQ(want[i], got[i]);
-  }
-
-  VocabularyPtr vocab_;
-  Graph g_;
-  SymbolId a_, b_, e_, f_;
-};
-
-TEST_F(PlanFixtureTest, NodeAnchorsUseAnchoredBody) {
-  NodeId x1 = g_.AddNode(a_);
-  NodeId x2 = g_.AddNode(a_);
-  NodeId y = g_.AddNode(b_);
-  g_.AddEdge(x1, y, e_);
-  g_.AddEdge(x2, y, e_);
-  Pattern p;
-  VarId u = p.AddNode(a_), v = p.AddNode(b_);
-  p.AddEdge(u, v, e_);
-  MatchOptions opts;
-  opts.node_anchors.push_back({u, x2});
-  ExpectParity(p, opts);
-  MatchOptions both;
-  both.node_anchors.push_back({u, x1});
-  both.node_anchors.push_back({v, y});
-  ExpectParity(p, both);
-}
-
-TEST_F(PlanFixtureTest, EdgeAnchorsUseAnchoredBody) {
-  NodeId x = g_.AddNode(a_), y = g_.AddNode(b_), z = g_.AddNode(b_);
-  EdgeId target = g_.AddEdge(x, y, e_).value();
-  g_.AddEdge(x, z, e_);
-  Pattern p;
-  VarId u = p.AddNode(a_), v = p.AddNode(b_);
-  p.AddEdge(u, v, e_);
-  MatchOptions opts;
-  opts.edge_anchors.push_back({0, target});
-  ExpectParity(p, opts);
-}
-
-TEST_F(PlanFixtureTest, NacPatternsAgree) {
-  NodeId x1 = g_.AddNode(a_), x2 = g_.AddNode(a_);
-  NodeId y1 = g_.AddNode(b_), y2 = g_.AddNode(b_);
-  g_.AddEdge(x1, y1, e_);
-  g_.AddEdge(x2, y2, e_);
-  g_.AddEdge(y1, x1, f_);  // back edge only for the first pair
-  Pattern p;
-  VarId u = p.AddNode(a_), v = p.AddNode(b_);
-  p.AddEdge(u, v, e_);
-  Nac nac;
-  nac.kind = NacKind::kNoEdge;
-  nac.src_var = v;
-  nac.dst_var = u;
-  nac.label = f_;
-  p.AddNac(nac);
-  ExpectParity(p, MatchOptions{});
-}
-
-TEST_F(PlanFixtureTest, AttrJoinAndPredicatesAgree) {
-  SymbolId name = vocab_->Attr("name");
-  NodeId x = g_.AddNode(a_), y = g_.AddNode(a_), z = g_.AddNode(a_);
-  g_.SetNodeAttr(x, name, vocab_->Value("n1"));
-  g_.SetNodeAttr(y, name, vocab_->Value("n1"));
-  g_.SetNodeAttr(z, name, vocab_->Value("n2"));
-  Pattern p;
-  VarId u = p.AddNode(a_), v = p.AddNode(a_);
-  AttrPredicate pred;
-  pred.lhs = AttrOperand::VarAttr(u, name);
-  pred.op = CmpOp::kEq;
-  pred.rhs = AttrOperand::VarAttr(v, name);
-  p.AddPredicate(pred);
-  ExpectParity(p, MatchOptions{});
-}
-
-// ---------------------------------------------- parallel detectors + plans
-
-TEST(MatchPlanTest, ParallelDetectorWithPlansMatchesSequentialInterpreter) {
+TEST(MatchPlanTest, ParallelDetectorMatchesSequentialMatcher) {
   DatasetBundle bundle = SmallKg();
   for (size_t shards : {1u, 2u, 4u, 8u}) {
     ShardedSnapshot snap(bundle.graph, shards);
-    const Stream seq = InterpretedStream(snap, bundle.rules);
-    std::vector<const Pattern*> patterns;
-    for (RuleId r = 0; r < bundle.rules.size(); ++r)
-      patterns.push_back(&bundle.rules[r].pattern());
-    std::vector<MatchPlan> plans = CompilePlans(patterns, snap);
-    std::vector<const MatchPlan*> ptrs;
-    for (const MatchPlan& p : plans) ptrs.push_back(&p);
+    const Stream seq = SequentialStream(snap, bundle.rules);
     for (size_t threads : {1u, 2u, 4u, 8u}) {
       ThreadPool pool(threads);
       ParallelDetectOptions opts;
       opts.shard_min_seeds = 1;  // force shard-level fan-out
       ParallelDetector detector(&pool, opts);
       Stream par;
-      detector.Detect(
-          snap, bundle.rules,
-          [&](RuleId r, const Match& m) { par.emplace_back(r, m); },
-          ptrs.data());
+      detector.Detect(snap, bundle.rules, [&](RuleId r, const Match& m) {
+        par.emplace_back(r, m);
+      });
       ASSERT_EQ(seq.size(), par.size())
           << "shards=" << shards << " threads=" << threads;
       for (size_t i = 0; i < seq.size(); ++i) {
@@ -367,7 +179,7 @@ TEST(MatchPlanTest, ParallelDetectorWithPlansMatchesSequentialInterpreter) {
   }
 }
 
-TEST(MatchPlanTest, DeltaDetectorWithPlansMatchesSequentialInterpreter) {
+TEST(MatchPlanTest, DeltaDetectorMatchesSequentialDeltaMatcher) {
   DatasetBundle bundle = SmallKg();
   Graph& g = bundle.graph;
   g.EnableDeltaLog();
@@ -382,7 +194,7 @@ TEST(MatchPlanTest, DeltaDetectorWithPlansMatchesSequentialInterpreter) {
   std::vector<EditEntry> delta(g.Journal().begin() + mark, g.Journal().end());
   ASSERT_FALSE(delta.empty());
 
-  // Sequential interpreter reference.
+  // Sequential reference.
   Stream seq;
   for (RuleId r = 0; r < bundle.rules.size(); ++r) {
     DeltaMatcher dm(g, bundle.rules[r].pattern());
@@ -394,22 +206,16 @@ TEST(MatchPlanTest, DeltaDetectorWithPlansMatchesSequentialInterpreter) {
 
   for (size_t shards : {1u, 2u, 4u, 8u}) {
     ShardedSnapshot snap(g, shards);
-    std::vector<const Pattern*> patterns;
-    for (RuleId r = 0; r < bundle.rules.size(); ++r)
-      patterns.push_back(&bundle.rules[r].pattern());
-    std::vector<MatchPlan> plans = CompilePlans(patterns, snap);
-    std::vector<const MatchPlan*> ptrs;
-    for (const MatchPlan& p : plans) ptrs.push_back(&p);
     for (size_t threads : {1u, 2u, 4u, 8u}) {
       ThreadPool pool(threads);
       ParallelDeltaOptions opts;
       opts.shard_min_anchors = 1;  // force fan-out
       ParallelDeltaDetector detector(&pool, opts);
       Stream par;
-      detector.Detect(
-          snap, bundle.rules, delta,
-          [&](RuleId r, const Match& m) { par.emplace_back(r, m); },
-          ptrs.data());
+      detector.Detect(snap, bundle.rules, delta,
+                      [&](RuleId r, const Match& m) {
+                        par.emplace_back(r, m);
+                      });
       ASSERT_EQ(seq.size(), par.size())
           << "shards=" << shards << " threads=" << threads;
       for (size_t i = 0; i < seq.size(); ++i) {
@@ -427,26 +233,52 @@ TEST(MatchPlanTest, ExplainSmoke) {
   GraphSnapshot snap(bundle.graph);
   for (RuleId r = 0; r < bundle.rules.size(); ++r) {
     MatchPlan plan = MatchPlan::Compile(bundle.rules[r].pattern(), snap);
-    if (!plan.usable()) continue;
     std::string text = plan.Explain(*bundle.graph.vocab());
     EXPECT_FALSE(text.empty()) << "rule " << r;
     EXPECT_NE(text.find("body"), std::string::npos) << text;
   }
 }
 
-// The ablation switch: use_plan=false on a plan-carrying matcher must take
-// the interpreter path (and still agree, trivially, with itself).
-TEST(MatchPlanTest, UsePlanFalseDisablesPlan) {
+// grepair_plan_compiles_total counts one per body a Matcher compiles (a
+// repeated anchor shape replays its body, also across DeltaMatcher calls),
+// and compile_us keeps each body's sub-microsecond time instead of
+// truncating it to 0.
+TEST(MatchPlanTest, CompileCountersCountBodiesAndKeepTheirTime) {
   DatasetBundle bundle = SmallKg();
   GraphSnapshot snap(bundle.graph);
   const Pattern& p = bundle.rules[0].pattern();
-  MatchPlan plan = MatchPlan::Compile(p, snap);
-  MatchOptions off;
-  off.use_plan = false;
-  std::vector<Match> a = Matcher(snap, p, &plan).CollectWith(off);
-  std::vector<Match> b = Matcher(snap, p).CollectWith(MatchOptions{});
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
+  Matcher(snap, p).SeedVar();  // registers the instruments
+  auto& reg = obs::MetricsRegistry::Global();
+  obs::Counter* compiles = reg.GetCounter("grepair_plan_compiles_total", "");
+  obs::Counter* compile_us =
+      reg.GetCounter("grepair_plan_compile_us_total", "");
+
+  const uint64_t before = compiles->Value();
+  Matcher m(snap, p);
+  const VarId seed = m.SeedVar();  // the unanchored body
+  const std::vector<NodeId> seeds = m.SeedCandidates(seed);
+  ASSERT_FALSE(seeds.empty());
+  m.Count();  // replays the unanchored body
+  MatchOptions anchored;
+  anchored.node_anchors.push_back({seed, seeds[0]});
+  m.CollectWith(anchored);  // the single-variable body
+  m.CollectWith(anchored);
+  EXPECT_EQ(compiles->Value() - before, 2u);
+
+  // A DeltaMatcher runs every call through one Matcher, so per-anchor calls
+  // (the aligned fan-out's shape) compile each anchor shape once.
+  ASSERT_GE(seeds.size(), 20u);
+  const uint64_t before_delta = compiles->Value();
+  const DeltaMatcher dm(snap, p);
+  for (size_t i = 0; i < 20; ++i)
+    dm.MatchNodeAnchors({seeds[i]}, [](const Match&) { return true; });
+  EXPECT_LE(compiles->Value() - before_delta, p.NumNodes());
+
+  // 2000 bodies take well over 100 µs in all (a body costs more than
+  // 50 ns), while truncating each body to whole microseconds counts ~0.
+  const uint64_t us_before = compile_us->Value();
+  for (int i = 0; i < 2000; ++i) Matcher(snap, p).SeedVar();
+  EXPECT_GE(compile_us->Value() - us_before, 100u);
 }
 
 }  // namespace

@@ -265,71 +265,6 @@ TEST_F(MatcherTest, TriangleInLargerGraph) {
   EXPECT_EQ(Matcher(g_, p).Count(), 3u);
 }
 
-TEST_F(MatcherTest, AblationFlagsPreserveCorrectness) {
-  // Triangle + attr-join workload; all four flag combinations must agree.
-  SymbolId name = vocab_->Attr("name");
-  NodeId n0 = g_.AddNode(a_), n1 = g_.AddNode(a_), n2 = g_.AddNode(a_);
-  g_.AddEdge(n0, n1, e_);
-  g_.AddEdge(n1, n2, e_);
-  g_.AddEdge(n2, n0, e_);
-  g_.SetNodeAttr(n0, name, vocab_->Value("k"));
-  g_.SetNodeAttr(n2, name, vocab_->Value("k"));
-  for (int i = 0; i < 10; ++i) g_.AddNode(a_);
-
-  Pattern p;  // (u)-[e]->(v), plus w with w.name = u.name
-  VarId u = p.AddNode(a_), v = p.AddNode(a_), w = p.AddNode(a_);
-  p.AddEdge(u, v, e_);
-  AttrPredicate pred;
-  pred.lhs = AttrOperand::VarAttr(u, name);
-  pred.op = CmpOp::kEq;
-  pred.rhs = AttrOperand::VarAttr(w, name);
-  p.AddPredicate(pred);
-
-  size_t expect = Matcher(g_, p).Count();
-  EXPECT_GT(expect, 0u);
-  for (bool adj : {true, false}) {
-    for (bool join : {true, false}) {
-      MatchOptions opts;
-      opts.use_adjacency_pivot = adj;
-      opts.use_attr_join = join;
-      size_t n = 0;
-      Matcher(g_, p).FindAll(opts, [&](const Match&) {
-        ++n;
-        return true;
-      });
-      EXPECT_EQ(n, expect) << "adj=" << adj << " join=" << join;
-    }
-  }
-}
-
-TEST_F(MatcherTest, AblationFlagsCostMoreExpansions) {
-  // Without the adjacency pivot, the matcher scans label candidates and
-  // must do strictly more work on a hub-shaped graph.
-  NodeId hub = g_.AddNode(a_);
-  for (int i = 0; i < 60; ++i) {
-    NodeId s = g_.AddNode(b_);
-    g_.AddEdge(hub, s, e_);
-  }
-  Pattern p;
-  VarId u = p.AddNode(a_), v = p.AddNode(b_);
-  p.AddEdge(u, v, e_);
-
-  MatchOptions fast, slow;
-  slow.use_adjacency_pivot = false;
-  size_t n_fast = 0, n_slow = 0;
-  MatchStats st_fast = Matcher(g_, p).FindAll(fast, [&](const Match&) {
-    ++n_fast;
-    return true;
-  });
-  MatchStats st_slow = Matcher(g_, p).FindAll(slow, [&](const Match&) {
-    ++n_slow;
-    return true;
-  });
-  EXPECT_EQ(n_fast, n_slow);
-  EXPECT_EQ(n_fast, 60u);
-  EXPECT_LE(st_fast.expansions, st_slow.expansions);
-}
-
 TEST_F(MatcherTest, ExpansionBudgetReportsExhaustion) {
   for (int i = 0; i < 30; ++i) g_.AddNode(a_);
   Pattern p;  // 3 unconstrained wildcard vars: 30*29*28 bindings

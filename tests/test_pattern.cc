@@ -51,6 +51,17 @@ TEST(PatternTest, ConstantOnlyPredicateRejected) {
   EXPECT_FALSE(p.Validate().ok());
 }
 
+TEST(PatternTest, NodeVariableLimitEnforced) {
+  Pattern p;
+  for (size_t i = 0; i < kMaxPatternNodes; ++i) p.AddNode(1);
+  EXPECT_TRUE(p.Validate().ok());
+  p.AddNode(1);  // 33 node variables
+  Status st = p.Validate();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("at most 32"), std::string::npos)
+      << st.message();
+}
+
 TEST(PatternTest, PositiveLabelsDeduped) {
   Pattern p;
   p.AddNode(5);

@@ -226,6 +226,23 @@ TEST(RuleParserTest, RejectsUnknownEdgeVariable) {
   EXPECT_FALSE(r.ok());
 }
 
+// A rule with n node variables: MATCH (v0:A), ..., (v{n-1}:A).
+std::string WideRule(size_t n) {
+  std::string dsl = "RULE wide CLASS redundant\nMATCH ";
+  for (size_t i = 0; i < n; ++i)
+    dsl += (i ? ", (v" : "(v") + std::to_string(i) + ":A)";
+  return dsl + "\nACTION DEL_NODE v0\n";
+}
+
+TEST(RuleParserTest, RejectsPatternsPastTheNodeVariableLimit) {
+  auto vocab = MakeVocabulary();
+  EXPECT_TRUE(ParseRules(WideRule(32), vocab).ok());
+  auto rs = ParseRules(WideRule(33), vocab);
+  ASSERT_FALSE(rs.ok());
+  EXPECT_NE(rs.status().message().find("at most 32"), std::string::npos)
+      << rs.status().message();
+}
+
 TEST(RuleParserTest, RejectsDoubleStarNac) {
   auto vocab = MakeVocabulary();
   auto r = ParseRule(R"(

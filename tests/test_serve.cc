@@ -154,6 +154,55 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
+// ------------------------------------------------------- golden outcome
+// A fixed edit script committed to a 1-thread service and to a 2-thread,
+// 2-shard one whose every batch fans out: fixes, matcher expansions and
+// the final fingerprint are pinned, and both services must land on them.
+// The script is generated once, from the 1-thread service's state before
+// each batch, and replayed verbatim into the other. The constants were
+// recorded with the interpreted matcher, before it was deleted.
+
+TEST(ServeGoldenTest, FixedEditScriptOutcomePinned) {
+  constexpr size_t kFixes = 21;
+  constexpr size_t kExpansions = 1574;
+  constexpr uint64_t kFingerprint = 5203438770918063485ull;
+
+  DatasetBundle bundle = CleanBundle("kg");
+  ServeOptions sequential;
+  ServeOptions fanned;
+  fanned.num_threads = 2;
+  fanned.num_shards = 2;
+  fanned.shard_min_anchors = 1;
+  RepairService a(bundle.graph.Clone(), bundle.rules, sequential);
+  RepairService b(bundle.graph.Clone(), bundle.rules, fanned);
+
+  Rng rng(2024);
+  size_t fixes[2] = {0, 0};
+  size_t expansions[2] = {0, 0};
+  for (size_t batch = 0; batch < 6; ++batch) {
+    Graph scratch = a.graph().Clone();
+    const std::vector<EditEntry> ops = MutateRandom(&scratch, &rng, 8);
+    RepairService* services[2] = {&a, &b};
+    for (size_t i = 0; i < 2; ++i) {
+      auto r = services[i]->ApplyBatch(ops);
+      ASSERT_TRUE(r.ok()) << "service " << i << " batch " << batch << ": "
+                          << r.status().ToString();
+      fixes[i] += r.value().fixes;
+      expansions[i] += r.value().expansions;
+    }
+  }
+  for (size_t i = 0; i < 2; ++i) {
+    const RepairService& s = i == 0 ? a : b;
+    const std::string got = "service " + std::to_string(i) + " got {" +
+                            std::to_string(fixes[i]) + ", " +
+                            std::to_string(expansions[i]) + ", " +
+                            std::to_string(s.graph().Fingerprint()) + "ull}";
+    EXPECT_EQ(fixes[i], kFixes) << got;
+    EXPECT_EQ(expansions[i], kExpansions) << got;
+    EXPECT_EQ(s.graph().Fingerprint(), kFingerprint) << got;
+  }
+}
+
 // ------------------------------------------------- ParallelDeltaDetector
 
 // Forced sharding must reproduce the sequential per-rule FindDelta stream
