@@ -279,16 +279,15 @@ BENCHMARK(BM_SeedCandidatesSharded)
     ->Args({4000, 4})->Args({4000, 8})
     ->Unit(benchmark::kMicrosecond);
 
-// Full detection with the caller-provided snapshot reused across calls —
-// what eval loops and thread sweeps over an unchanged graph now do instead
-// of re-snapshotting per pass.
+// Full detection over one snapshot reused across calls, passed in as the
+// view — what a caller detecting repeatedly over an unchanged graph does
+// when it wants snapshot reads.
 void BM_FullDetectionReusedSnapshot(benchmark::State& state) {
   Workload w(static_cast<size_t>(state.range(0)));
   GraphSnapshot snap(w.graph);
   for (auto _ : state) {
     ViolationStore store;
-    benchmark::DoNotOptimize(
-        DetectAll(w.graph, w.rules, &store, nullptr, 1, &snap));
+    benchmark::DoNotOptimize(DetectAll(snap, w.rules, &store));
   }
   state.SetComplexityN(state.range(0));
 }
@@ -369,9 +368,7 @@ BENCHMARK(BM_IntersectGalloping)->Arg(64)->Arg(1024)->Arg(16384)
 // the other benches emit (google-benchmark's own output follows).
 int main(int argc, char** argv) {
   grepair::bench::PrintBenchHeader(
-      "M9: matching micro-benchmarks (graph vs snapshot)",
-      std::string("\"snapshot_read_path\":") +
-          (grepair::kSnapshotDetectReads ? "true" : "false"));
+      "M9: matching micro-benchmarks (graph vs snapshot)");
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -5,11 +5,12 @@
 // in tests/test_serve.cc), so the sweep measures pure wall-clock. Each row
 // is also emitted as a self-describing JSON line (see PrintBenchHeader).
 //
-// S2 — Snapshot acquisition: what the serving commit path pays to hand the
-// seed pass a read snapshot, per batch size AND shard count — advancing
-// the cached store by a delta-log Patch (O(delta)) vs building a fresh one
-// (O(V+E)). Rows report the delta fraction of |E| and the speedup; the
-// acceptance bar is >=10x for deltas <= 1% of |E| at the largest scale.
+// S2 — Snapshot acquisition: what the serving commit path pays to bring
+// its publication slot to the committed state, per batch size AND shard
+// count — advancing the slot's store by a delta-log Patch (O(delta)) vs
+// building a fresh one (O(V+E)). Rows report the delta fraction of |E|
+// and the speedup; the acceptance bar is >=10x for deltas <= 1% of |E|
+// at the largest scale.
 //
 // S2b — Dirty-shard rebuild: a batch of edits confined to ONE storage
 // shard forces that shard's rebuild alone on a ShardedSnapshot (~1/S the
@@ -98,9 +99,9 @@ std::vector<EditEntry> MakeBatch(Graph* scratch, Rng* rng, size_t n) {
 // S2: the per-commit snapshot acquisition cost, patch vs rebuild, on a
 // clean graph under batches of `batch_size` random edits, for a monolithic
 // (shards == 1) or sharded snapshot store. Each round applies a batch,
-// patches the cached store forward (timed; sharded stores route records to
-// their shards) and builds a fresh store of the same state (timed);
-// medians over `rounds`.
+// patches the store forward (timed; sharded stores route records to their
+// shards) and builds a fresh store of the same state (timed); medians over
+// `rounds`.
 void AcquisitionSweep(const DatasetBundle& clean, size_t batch_size,
                       size_t rounds, size_t shards, TableWriter* table) {
   Graph g = clean.graph.Clone();
@@ -346,13 +347,11 @@ void ReadPathSweep(const DatasetBundle& clean, size_t readers,
   size_t batches = 0;
   while (wall.ElapsedMs() < seconds * 1000.0) {
     std::vector<EditEntry> ops = MakeBatch(&scratch, &rng, writer_batch);
-    Result<BatchResult> r = Status::Ok();
-    if (mutex_baseline) {
+    Result<BatchResult> r = [&] {
+      if (!mutex_baseline) return service.ApplyBatch(ops);
       std::lock_guard<std::mutex> lock(service_mu);
-      r = service.ApplyBatch(ops);
-    } else {
-      r = service.ApplyBatch(ops);
-    }
+      return service.ApplyBatch(ops);
+    }();
     if (!r.ok()) {
       std::fprintf(stderr, "read-path batch failed: %s\n",
                    r.status().ToString().c_str());
@@ -388,10 +387,7 @@ void ReadPathSweep(const DatasetBundle& clean, size_t readers,
 int main() {
   const bool smoke = SmokeMode();
   PrintBenchHeader("S1: serving throughput vs batch size x threads (KG)",
-                   std::string("\"snapshot_read_path\":") +
-                       (kSnapshotDetectReads ? "true" : "false") +
-                       ",\"smoke\":" +
-                       (smoke ? "true" : "false"));
+                   std::string("\"smoke\":") + (smoke ? "true" : "false"));
   const size_t kPersons = smoke ? 400 : 2000;
   TableWriter t("S1: commit latency / edit throughput (KG)",
                 {"batch_size", "threads", "batches", "edits", "fixes",
@@ -450,15 +446,12 @@ int main() {
                   "\"batches\":%zu,"
                   "\"edits\":%zu,\"fixes\":%zu,\"p50_ms\":%.3f,"
                   "\"p95_ms\":%.3f,\"edits_per_s\":%.1f,"
-                  "\"snapshot_batches\":%zu,\"snapshot_patches\":%zu,"
-                  "\"snapshot_rebuilds\":%zu,\"snapshot_patch_ms\":%.3f,"
-                  "\"snapshot_rebuild_ms\":%.3f,\"shard_patches\":%zu,"
+                  "\"publish_patches\":%zu,\"publish_rebuilds\":%zu,"
+                  "\"publish_ms\":%.3f,\"shard_patches\":%zu,"
                   "\"shard_rebuilds\":%zu}\n",
                   batch_size, threads, service.num_shards(), s.batches,
-                  s.edits,
-                  s.violations_repaired, p50, p95, eps, s.snapshot_batches,
-                  s.snapshot_patches, s.snapshot_rebuilds,
-                  s.snapshot_patch_ms, s.snapshot_rebuild_ms,
+                  s.edits, s.violations_repaired, p50, p95, eps,
+                  s.publish_patches, s.publish_rebuilds, s.publish_ms,
                   s.shard_patches, s.shard_rebuilds);
       t.AddRow({TableWriter::Int(int64_t(batch_size)),
                 TableWriter::Int(int64_t(threads)),

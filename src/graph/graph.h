@@ -251,9 +251,11 @@ class Graph : public GraphView {
   size_t num_alive_nodes_ = 0;
   size_t num_alive_edges_ = 0;
   // label -> alive nodes with that label; key 0 holds ALL alive nodes.
-  mutable std::unordered_map<SymbolId, std::unordered_set<NodeId>> label_index_;
+  // Not mutable: const reads only find(), so concurrent readers (pool
+  // workers of a detection pass) never write.
+  std::unordered_map<SymbolId, std::unordered_set<NodeId>> label_index_;
   // (attr<<32|value) -> alive nodes with that attribute value.
-  mutable std::unordered_map<uint64_t, std::unordered_set<NodeId>> attr_index_;
+  std::unordered_map<uint64_t, std::unordered_set<NodeId>> attr_index_;
 };
 
 }  // namespace grepair

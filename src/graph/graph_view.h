@@ -21,11 +21,11 @@ namespace grepair {
 
 class GraphSnapshot;
 
-/// THE storage partition function of the read seam: node `n` of a view
+/// THE storage partition function of the read seam: node `n` of a store
 /// with `num_shards` storage shards lives in shard `n % num_shards`, and an
-/// edge lives in its src's shard. Shared by ShardedSnapshot and the
-/// detection fan-out so data placement and work placement cannot drift
-/// apart. Dense ids make the modulo an even hash partition.
+/// edge lives in its src's shard. ShardedSnapshot and the shard slices it
+/// builds (SnapshotShard) both place data by it. Dense ids make the modulo
+/// an even hash partition.
 inline size_t StorageShardOfNode(NodeId n, size_t num_shards) {
   return num_shards <= 1 ? 0 : n % num_shards;
 }
@@ -146,21 +146,9 @@ class GraphView {
   virtual size_t CountNodesWithLabel(SymbolId label) const = 0;
   virtual size_t CountEdgesWithLabel(SymbolId label) const = 0;
 
-  /// Non-null when this view IS an immutable GraphSnapshot, so read paths
-  /// that snapshot their input can skip re-snapshotting one.
+  /// Non-null when this view IS an immutable GraphSnapshot, so the matcher
+  /// can read its sorted candidate partitions as zero-copy spans.
   virtual const GraphSnapshot* AsSnapshot() const { return nullptr; }
-
-  /// True for any immutable read-optimized snapshot implementation —
-  /// monolithic GraphSnapshot or sharded ShardedSnapshot — i.e. a view a
-  /// parallel pass may read directly without building its own snapshot
-  /// (SnapshotForPass gates on this).
-  virtual bool IsSnapshotView() const { return AsSnapshot() != nullptr; }
-
-  /// Storage shards backing this view (1 = unsharded). When > 1, the view
-  /// hash-partitions its columns by StorageShardOfNode (edges follow their
-  /// src) and the parallel detectors align their fan-out units with that
-  /// partition so one task's reads stay within one shard's columns.
-  virtual size_t NumStorageShards() const { return 1; }
 };
 
 }  // namespace grepair

@@ -11,9 +11,9 @@
 //     per-shard: a hot shard crosses its rebuild threshold and is rebuilt
 //     ALONE in ~1/S the monolithic rebuild time while clean shards keep
 //     patching (Advance implements the policy);
-//   - DETECTION fan-out aligns with storage: NumStorageShards() exposes S
-//     and the parallel detectors partition their seed/anchor lists by the
-//     same function, so one task's reads stay within one shard's columns.
+//   - DETECTION reads it like any other view: the parallel detectors split
+//     their seed/anchor lists into contiguous blocks whatever the store, so
+//     sharding changes where data lives, never how a pass fans out.
 //
 // Reads route by id arithmetic: node reads to shard(n), edge reads through
 // a per-edge owner byte (the src's shard, O(1)); candidate collection and
@@ -133,9 +133,6 @@ class ShardedSnapshot final : public GraphView {
                             std::vector<NodeId>* out) const override;
   size_t CountNodesWithLabel(SymbolId label) const override;
   size_t CountEdgesWithLabel(SymbolId label) const override;
-
-  bool IsSnapshotView() const override { return true; }
-  size_t NumStorageShards() const override { return shards_.size(); }
 
  private:
   const GraphSnapshot& NodeShard(NodeId n) const {

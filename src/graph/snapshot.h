@@ -25,23 +25,22 @@
 // index gains a sorted "added" side array while invalidated base entries
 // are tombstoned in a hash set. Every read remains bit-identical to the
 // live Graph at the patched position — the serving layer
-// (RepairService::Commit) caches one snapshot across commits and patches
-// it per batch, rebuilding only when the accumulated patch fraction
-// crosses its threshold. Patch() must run on the writer thread BEFORE a
-// pass fans out; during a pass the snapshot is frozen and shared read-only
-// across all workers (no synchronization needed).
+// (RepairService) keeps its published generations this way, patching a
+// slot once per commit at publication and rebuilding only when the
+// accumulated patch fraction crosses its threshold. Patch() runs on the
+// writer thread before the snapshot is published; once published it is
+// frozen and shared read-only by every reader (no synchronization needed).
 //
-// One snapshot per detection pass is built (or reused, see the DetectAll
-// `snapshot` parameter) by DetectAll / DetectInto and
-// RepairService::Commit when the pool fans out. Equivalence — including
-// patched snapshots against fresh builds and the live graph — is asserted
-// by tests/test_snapshot.cc and tests/test_snapshot_patch.cc. See
-// DESIGN.md "Storage model".
+// Detection never builds a snapshot of its own: a pass reads whatever view
+// its caller hands it, the live Graph included. Snapshots are built only
+// to be published, or by a caller that passes one in as the view.
+// Equivalence — including patched snapshots against fresh builds and the
+// live graph — is asserted by tests/test_snapshot.cc and
+// tests/test_snapshot_patch.cc. See DESIGN.md "Storage model".
 #ifndef GREPAIR_GRAPH_SNAPSHOT_H_
 #define GREPAIR_GRAPH_SNAPSHOT_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -301,17 +300,6 @@ class GraphSnapshot final : public GraphView {
   /// Ascending alive edge ids NOT covered by the base alive_edges_ list.
   std::vector<EdgeId> alive_added_;
 };
-
-/// The one-snapshot-per-pass idiom of the parallel read paths: returns `g`
-/// itself when it already is a snapshot view (monolithic OR sharded),
-/// otherwise builds one into `*storage` (which owns it for the duration of
-/// the pass) and returns that. Keeps the build-or-reuse gate in one place.
-inline const GraphView& SnapshotForPass(
-    const GraphView& g, std::unique_ptr<GraphSnapshot>* storage) {
-  if (g.IsSnapshotView()) return g;
-  *storage = std::make_unique<GraphSnapshot>(g);
-  return **storage;
-}
 
 }  // namespace grepair
 

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
 #include <set>
 
-#include "graph/snapshot.h"
 #include "grr/rule_builder.h"
 #include "grr/rule_validator.h"
 #include "parallel/thread_pool.h"
@@ -150,21 +148,15 @@ SupportStats CollectSupportStats(const GraphView& g,
   }
 
   ThreadPool pool(opt.num_threads);
-  // The sharded scan reads through one immutable snapshot shared by every
-  // worker (all aggregates are sharding-independent, and snapshot reads are
-  // bit-identical to live-graph reads, so the merged result is unchanged).
-  // A 1-worker pool (e.g. num_threads=0 on a single-core host) skips the
-  // build: there is nothing to share.
-  std::unique_ptr<GraphSnapshot> built;
-  const GraphView& view =
-      pool.NumThreads() > 1 ? SnapshotForPass(g, &built) : g;
+  // Every worker scans its block of `g` itself (all aggregates are
+  // sharding-independent, so the merged result is unchanged).
   size_t shards = std::max<size_t>(1, pool.NumThreads());
   std::vector<SupportStats> per_shard(shards);
   pool.ParallelFor(shards, [&](size_t s) {
     auto [elo, ehi] = BlockRange(edges.size(), s, shards);
-    per_shard[s].ScanEdges(view, edges, elo, ehi);
+    per_shard[s].ScanEdges(g, edges, elo, ehi);
     auto [nlo, nhi] = BlockRange(nodes.size(), s, shards);
-    per_shard[s].ScanNodes(view, nodes, nlo, nhi);
+    per_shard[s].ScanNodes(g, nodes, nlo, nhi);
   });
   SupportStats total;
   for (const SupportStats& ps : per_shard) total.Merge(ps);

@@ -2,28 +2,23 @@
 // an edit batch across a ThreadPool, with bit-identical output to the
 // sequential per-rule FindDelta loop regardless of thread count.
 //
-// Fan-out unit is (rule × anchor-shard): the anchor lists a delta induces
+// Fan-out unit is (rule × anchor-slice): the anchor lists a delta induces
 // (DeltaMatcher::ComputeAnchors — pattern-independent, so computed once per
-// batch) are split into slices, and each (rule, edge-slice) /
+// batch) are split into contiguous blocks, and each (rule, edge-slice) /
 // (rule, node-slice) pair is an independent task running the raw anchored
-// searches of DeltaMatcher::MatchEdgeAnchors / MatchNodeAnchors. Over an
-// unsharded view the slices are contiguous blocks; over a sharded store
-// (GraphView::NumStorageShards() > 1, e.g. ShardedSnapshot) slicing is
-// STORAGE-ALIGNED — one slice per storage shard holding exactly the
-// anchors that shard owns (an edge anchor belongs to its src's shard), so
-// a task's anchored reads stay within one shard's columns.
+// searches of DeltaMatcher::MatchEdgeAnchors / MatchNodeAnchors once per
+// slice. The split is the same over every view, the live Graph included.
 //
 // Determinism: the sequential FindDelta visits anchor edges in ascending-id
 // order, then anchor nodes, each anchored search with its OWN expansion
 // budget, deduplicating by match footprint as it goes. Workers collect raw
-// (pre-dedup) matches; the calling thread merges task outputs back into
-// that exact visit order — block slices by concatenation, storage-aligned
-// slices by a per-anchor-count interleave — and applies the same per-rule
-// footprint dedup, so the surviving emission stream — and every stat —
-// equals the sequential run for any shard x thread combination. Every task
-// holds its own DeltaMatcher, whose one Matcher compiles the bodies of the
-// anchor shapes the task searches once and replays them for every anchor
-// of its slice — nothing compiled is shared across workers.
+// (pre-dedup) matches; the calling thread concatenates task outputs in
+// that exact visit order and applies the same per-rule footprint dedup, so
+// the surviving emission stream — and every stat — equals the sequential
+// run for any slice x thread combination. Every task holds its own
+// DeltaMatcher, whose one Matcher compiles the bodies of the anchor shapes
+// the task searches once and replays them for every anchor of its slice —
+// nothing compiled is shared across workers.
 //
 // Concurrency contract (DESIGN.md "Threading model"): the graph, rule set
 // and vocabulary must not be mutated while Detect runs.
@@ -77,16 +72,14 @@ class ParallelDeltaDetector {
                     const DeltaMatcher::Anchors& anchors,
                     const Emit& emit) const;
 
-  /// True when a delta with `num_anchors` anchors would fan out over the
-  /// pool (rather than run the sequential loop on the calling thread).
-  /// Exposed so callers deciding whether to build a read snapshot for the
-  /// pass use the exact gate Detect applies.
+ private:
+  /// True when a delta with `num_anchors` anchors fans out over the pool
+  /// (rather than run the sequential loop on the calling thread).
   bool WouldFanOut(size_t num_anchors) const {
     return pool_ != nullptr && pool_->NumThreads() > 1 &&
            num_anchors >= options_.shard_min_anchors;
   }
 
- private:
   ThreadPool* pool_;
   ParallelDeltaOptions options_;
 };

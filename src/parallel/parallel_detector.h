@@ -5,26 +5,22 @@
 // Two levels of fan-out:
 //   (a) rule-level — each rule's full-graph match is an independent task;
 //   (b) shard-level — a rule whose seed-candidate set is large is split
-//       into per-seed anchored searches. Over an UNSHARDED view the split
-//       is contiguous ranges of Matcher::SeedCandidates(); over a sharded
-//       store (GraphView::NumStorageShards() > 1, e.g. ShardedSnapshot)
-//       the split is STORAGE-ALIGNED: one task per storage shard holding
-//       exactly the seeds that shard owns, so a task's reads stay within
-//       one shard's columns.
+//       into per-seed anchored searches over contiguous block ranges of
+//       Matcher::SeedCandidates(). The split is the same over every view:
+//       the live Graph, a GraphSnapshot or a ShardedSnapshot.
 //
 // Determinism: the sequential matcher explores seeds in ascending-id order
-// and each seed's subtree deterministically. Block shards concatenate in
-// (rule id, shard index) order; storage-aligned shards record per-seed
-// match counts and are interleaved back into global ascending-seed order.
-// Both reproduce the exact sequential emission stream for any shard x
-// thread combination. Workers only read the graph; emission happens on the
-// calling thread after all tasks complete. Every task builds its own
-// Matcher, which compiles the bodies its searches need (one per anchor
-// shape) — nothing compiled is shared across workers.
+// and each seed's subtree deterministically, so block shards concatenated
+// in (rule id, shard index) order reproduce the exact sequential emission
+// stream for any shard x thread combination. Workers only read the graph;
+// emission happens on the calling thread after all tasks complete. Every
+// task builds its own Matcher, which compiles the bodies its searches need
+// (one per anchor shape) — nothing compiled is shared across workers.
 //
 // Concurrency contract (DESIGN.md "Threading model"): the graph, rule set
-// and vocabulary must not be mutated while Detect runs. Matching never
-// interns symbols (see Vocabulary::LookupOnly), so const access is safe.
+// and vocabulary must not be mutated while Detect runs. Workers read the
+// view they are handed — the live Graph included: its const reads never
+// write, and matching never interns symbols (see Vocabulary::LookupOnly).
 #ifndef GREPAIR_PARALLEL_PARALLEL_DETECTOR_H_
 #define GREPAIR_PARALLEL_PARALLEL_DETECTOR_H_
 

@@ -6,7 +6,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "graph/snapshot.h"
 #include "match/incremental.h"
 #include "parallel/parallel_detector.h"
 #include "parallel/thread_pool.h"
@@ -19,41 +18,27 @@ namespace grepair {
 namespace {
 
 // Adds every match of every rule to the store, costed for fix selection.
-// A non-null pool with >1 workers fans the matching out (bit-identical
-// results; see ParallelDetector); costing and store insertion stay on the
-// calling thread either way.
+// A non-null pool with >1 workers fans the matching out over `g` itself
+// (bit-identical results; see ParallelDetector); costing and store
+// insertion stay on the calling thread either way.
 size_t DetectInto(const GraphView& g, const RuleSet& rules,
                   ViolationStore* store,
                   const CostModel& model, SymbolId conf_attr,
-                  size_t* expansions, ThreadPool* pool = nullptr,
-                  const GraphView* snapshot = nullptr) {
-  // A caller-owned snapshot view of g's current state (monolithic or
-  // sharded) replaces g on every read path below (bit-identical by
-  // contract) — repeated passes over an unchanged graph then skip the
-  // per-pass snapshot build entirely.
-  const GraphView& src = snapshot != nullptr ? *snapshot : g;
+                  size_t* expansions, ThreadPool* pool = nullptr) {
   if (pool != nullptr && pool->NumThreads() > 1) {
-    // One immutable read-optimized snapshot per detection pass, shared
-    // read-only by every pool worker (cache-friendly CSR reads, no live
-    // hash indexes on the hot path). Reads over the snapshot are
-    // bit-identical to reads over `g` (tests/test_snapshot.cc), so the
-    // store receives the exact sequential seeding either way.
-    std::unique_ptr<GraphSnapshot> built;
-    const GraphView& view = SnapshotForPass(src, &built);
     ParallelDetector detector(pool);
-    MatchStats st = detector.Detect(view, rules, [&](RuleId r, const Match& m) {
-      double cost = FixCost(view, rules[r], m, model, conf_attr);
-      store->Add(r, m, cost);
+    MatchStats st = detector.Detect(g, rules, [&](RuleId r, const Match& m) {
+      store->Add(r, m, FixCost(g, rules[r], m, model, conf_attr));
     });
     if (expansions) *expansions += st.expansions;
     return store->Size();
   }
   for (RuleId r = 0; r < rules.size(); ++r) {
     const Rule& rule = rules[r];
-    Matcher matcher(src, rule.pattern());
+    Matcher matcher(g, rule.pattern());
     MatchOptions opts;
     MatchStats st = matcher.FindAll(opts, [&](const Match& m) {
-      double cost = FixCost(src, rule, m, model, conf_attr);
+      double cost = FixCost(g, rule, m, model, conf_attr);
       store->Add(r, m, cost);
       return true;
     });
@@ -103,18 +88,17 @@ void DetectDelta(const GraphView& g, const RuleSet& rules,
 
 size_t DetectAll(const GraphView& g, const RuleSet& rules,
                  ViolationStore* store,
-                 size_t* expansions, size_t num_threads,
-                 const GraphView* snapshot) {
+                 size_t* expansions, size_t num_threads) {
   CostModel model;
   std::unique_ptr<ThreadPool> pool = MakeDetectPool(num_threads);
   return DetectInto(g, rules, store, model, /*conf_attr=*/0, expansions,
-                    pool.get(), snapshot);
+                    pool.get());
 }
 
 size_t CountViolations(const GraphView& g, const RuleSet& rules,
-                       size_t num_threads, const GraphView* snapshot) {
+                       size_t num_threads) {
   ViolationStore store;
-  return DetectAll(g, rules, &store, nullptr, num_threads, snapshot);
+  return DetectAll(g, rules, &store, nullptr, num_threads);
 }
 
 RepairEngine::RepairEngine(RepairOptions options)

@@ -61,37 +61,20 @@ struct RepairResult {
   bool oscillation_detected = false;
 };
 
-/// True when multi-threaded full detection builds a read-optimized
-/// GraphSnapshot per pass and fans matching out over it (sequential
-/// detection reads the live graph directly). Benchmarks record this in
-/// their JSON headers so perf trajectories stay comparable across PRs.
-inline constexpr bool kSnapshotDetectReads = true;
-
 /// Runs detection only: fills `store` with every violation of `rules` in
 /// `g`. Returns the number of live violations. With num_threads > 1 the
-/// matching builds one immutable GraphSnapshot for the pass and fans out
-/// over a thread pool reading it; the store contents and order are
-/// identical to the sequential result for any thread count.
-///
-/// `snapshot`, when non-null, must be a snapshot VIEW of `g`'s exact
-/// current state (a fresh-built or delta-patched GraphSnapshot, or a
-/// ShardedSnapshot — anything whose IsSnapshotView() is true); the pass
-/// then reads it instead of building its own, so callers that repeatedly
-/// detect over an UNCHANGED graph (eval loops, thread-count sweeps,
-/// benchmarks) pay the O(V+E) snapshot cost once instead of per call.
-/// Reads over a snapshot are bit-identical to reads over the live graph —
-/// for a sharded snapshot across every shard count — so results do not
-/// depend on whether (or which) one is supplied.
+/// matching fans out over a thread pool whose workers read `g` itself;
+/// the store contents and order are identical to the sequential result for
+/// any thread count. A caller that wants snapshot reads passes the snapshot
+/// as `g` — reads over any view are bit-identical, so results do not
+/// depend on which one is supplied.
 size_t DetectAll(const GraphView& g, const RuleSet& rules,
                  ViolationStore* store,
-                 size_t* expansions = nullptr, size_t num_threads = 1,
-                 const GraphView* snapshot = nullptr);
+                 size_t* expansions = nullptr, size_t num_threads = 1);
 
-/// Counts violations without keeping them. Same `snapshot` contract as
-/// DetectAll.
+/// Counts violations without keeping them.
 size_t CountViolations(const GraphView& g, const RuleSet& rules,
-                       size_t num_threads = 1,
-                       const GraphView* snapshot = nullptr);
+                       size_t num_threads = 1);
 
 /// Delta-anchored re-detection: adds, for every rule, each violation the
 /// edit slice `delta` can have introduced to `store`, costed with

@@ -3,8 +3,8 @@
 //
 // The single writer (RepairService::Commit) prepares the NEXT generation in
 // a private double-buffer slot — patching it forward from the graph's delta
-// log with the same machinery the seed pass uses — and publishes it with one
-// atomic pointer swap after the batch (cascade fixes included) has landed.
+// log (ShardedSnapshot::Advance) — and publishes it with one atomic pointer
+// swap after the batch (cascade fixes included) has landed.
 // Any number of concurrent readers pin the last published generation and
 // run detection or backlog reads against it without ever touching the
 // service commit mutex; a reader therefore observes EXACTLY the state of
@@ -67,7 +67,7 @@ struct Generation {
   std::atomic<uint64_t> pins{0};
 
   bool has_store() const { return store != nullptr; }
-  /// What readers and the seed pass match against (has_store() must hold).
+  /// What readers match against (has_store() must hold).
   /// A 1-shard store hands out its only shard: the matcher's zero-copy
   /// candidate spans need a GraphSnapshot (GraphView::AsSnapshot), which
   /// the routing wrapper is not.
@@ -129,8 +129,7 @@ class ReadLease {
 class SnapshotPublisher {
  public:
   /// Writer: the slot the next generation is prepared in (stable between
-  /// Publish calls — a commit may advance it at the seed pass and again at
-  /// publication). Recycled in place when reader-free; abandoned to its
+  /// Publish calls). Recycled in place when reader-free; abandoned to its
   /// pinned readers and replaced with a fresh Generation otherwise. A slot
   /// from an older epoch comes back cleared (store dropped, watermark 0).
   Generation* Writable();

@@ -103,15 +103,13 @@ RepairService::RepairService(Graph graph, RuleSet rules, ServeOptions options)
   m_expansions_ = registry_.GetCounter(
       "grepair_serve_expansions_total",
       "Matcher expansions spent on detection and cascades.");
-  m_snapshot_batches_ = registry_.GetCounter(
-      "grepair_snapshot_batches_total",
-      "Commits whose seed pass read a snapshot instead of the live graph.");
   m_shard_patches_ = registry_.GetCounter(
       "grepair_shard_patches_total",
-      "Store shards advanced by an O(delta) patch.");
+      "Store shards a publication advanced by an O(delta) patch.");
   m_shard_rebuilds_ = registry_.GetCounter(
       "grepair_shard_rebuilds_total",
-      "Store shards rebuilt from scratch (dirty-shard-only economics).");
+      "Store shards a publication rebuilt from scratch (dirty-shard-only "
+      "economics).");
   m_publish_patches_ = registry_.GetCounter(
       "grepair_serve_publish_advances_total",
       "Publications by how the slot reached the committed state.",
@@ -163,7 +161,7 @@ RepairService::RepairService(Graph graph, RuleSet rules, ServeOptions options)
       "Violations waiting in the persistent store after the last commit.");
   m_snapshot_mem_ = registry_.GetGauge(
       "grepair_snapshot_memory_bytes",
-      "Heap footprint of the cached read snapshot (0 when none).");
+      "Heap footprint of the publisher's snapshot slots (0 when none).");
   m_published_reads_ = registry_.GetCounter(
       "grepair_serve_published_reads_total",
       "detect/violations requests served lock-free from a published "
@@ -180,19 +178,8 @@ RepairService::RepairService(Graph graph, RuleSet rules, ServeOptions options)
       "grepair_serve_commit_ms", "Whole-commit latency (detect + cascades).",
       obs::DefaultLatencyBucketsMs());
   m_detect_ms_ = registry_.GetHistogram(
-      "grepair_serve_detect_ms",
-      "Seed detection latency (snapshot acquisition included).",
+      "grepair_serve_detect_ms", "Seed detection latency.",
       obs::DefaultLatencyBucketsMs());
-  m_acquire_patch_ms_ = registry_.GetHistogram(
-      "grepair_snapshot_acquire_ms",
-      "Snapshot acquisition latency by path; counts are the patch/rebuild "
-      "ledger.",
-      obs::DefaultLatencyBucketsMs(), {{"path", "patch"}});
-  m_acquire_rebuild_ms_ = registry_.GetHistogram(
-      "grepair_snapshot_acquire_ms",
-      "Snapshot acquisition latency by path; counts are the patch/rebuild "
-      "ledger.",
-      obs::DefaultLatencyBucketsMs(), {{"path", "rebuild"}});
   m_publish_ms_ = registry_.GetHistogram(
       "grepair_serve_publish_ms",
       "Generation publication latency (slot advance + backlog copy + "
@@ -211,9 +198,8 @@ RepairService::RepairService(Graph graph, RuleSet rules, ServeOptions options)
   // Physical deltas for incremental maintenance of the published stores.
   graph_.EnableDeltaLog();
   // Eager first publication: readers can pin the constructed state before
-  // any batch commits. The first seed acquisition still finds the other
-  // slot empty and builds it; this construction build counts only in the
-  // publication instruments.
+  // any batch commits. The first commit's publication finds the other slot
+  // empty and builds it too.
   PublishGeneration(0);
 }
 
@@ -255,72 +241,35 @@ ParallelRunner RepairService::ShardRunner() const {
   };
 }
 
-RepairService::SlotAdvance RepairService::AdvanceSlot(
-    serve::Generation* slot) {
+void RepairService::PublishGeneration(uint64_t batch) {
+  OBS_SPAN("commit.publish");
   obs::Stopwatch t;
-  SlotAdvance out;
-  const uint64_t log_end = graph_.DeltaLogEnd();
-  // Already current (typical for the publication advance of a cascade-free
-  // commit right after its own seed advance): nothing to patch.
-  if (slot->has_store() && slot->watermark == log_end &&
-      slot->watermark >= graph_.DeltaLogBegin()) {
-    out.patched = true;
-    out.ms = t.ElapsedMs();
-    return out;
-  }
+  serve::Generation* slot = publisher_.Writable();
+  // Abandonment happens in Writable(), when the slot it would recycle is
+  // still pinned.
+  m_publish_abandoned_->Add(publisher_.abandoned() - seen_abandoned_);
+  seen_abandoned_ = publisher_.abandoned();
+  ShardedSnapshot::AdvanceStats adv;
   if (!slot->has_store() || slot->watermark < graph_.DeltaLogBegin()) {
     // Nothing to patch from: a fresh or abandoned slot, or one from an
     // older epoch whose store Writable() dropped.
     slot->store = std::make_unique<ShardedSnapshot>(graph_, num_shards_,
                                                     ShardRunner());
-    out.shards_rebuilt = num_shards_;
+    adv.shards_rebuilt = num_shards_;
   } else {
     // The patch-or-rebuild decision is PER SHARD inside Advance: clean
     // shards are untouched, lightly dirty shards patch, and a shard past
     // its own fraction rebuilds alone, all fanned out over the pool. The
     // whole advance counts as a patch only when no shard had to rebuild.
     auto [records, count] = graph_.DeltaLogSince(slot->watermark);
-    ShardedSnapshot::AdvanceStats adv =
-        slot->store->Advance(graph_, records, count,
-                             options_.snapshot_rebuild_fraction,
-                             ShardRunner());
-    out.shards_patched = adv.shards_patched;
-    out.shards_rebuilt = adv.shards_rebuilt;
-    out.patched = adv.shards_rebuilt == 0;
+    adv = slot->store->Advance(graph_, records, count,
+                               options_.snapshot_rebuild_fraction,
+                               ShardRunner());
   }
-  slot->watermark = log_end;
-  out.ms = t.ElapsedMs();
-  return out;
-}
-
-const GraphView& RepairService::AcquireSnapshot(BatchResult* res) {
-  OBS_SPAN("commit.snapshot");
-  serve::Generation* slot = publisher_.Writable();
-  SlotAdvance adv = AdvanceSlot(slot);
+  slot->watermark = graph_.DeltaLogEnd();
   m_shard_patches_->Add(adv.shards_patched);
   m_shard_rebuilds_->Add(adv.shards_rebuilt);
-  if (adv.patched) {
-    res->snapshot_patched = true;
-    m_acquire_patch_ms_->Observe(adv.ms);
-  } else {
-    m_acquire_rebuild_ms_->Observe(adv.ms);
-  }
-  res->snapshot_ms = adv.ms;
-  TrimConsumedDeltaLog();
-  return *slot->view();
-}
-
-void RepairService::PublishGeneration(uint64_t batch) {
-  OBS_SPAN("commit.publish");
-  obs::Stopwatch t;
-  serve::Generation* slot = publisher_.Writable();
-  // Bring it past the cascade fixes (publish-side cost).
-  (AdvanceSlot(slot).patched ? m_publish_patches_ : m_publish_rebuilds_)
-      ->Add(1);
-  // Abandonment happens in whichever Writable() first follows a Publish —
-  // the seed pass's or the one above — so counting here covers both.
-  m_publish_abandoned_->Add(publisher_.abandoned() - seen_abandoned_);
-  seen_abandoned_ = publisher_.abandoned();
+  (adv.shards_rebuilt == 0 ? m_publish_patches_ : m_publish_rebuilds_)->Add(1);
   // Deterministic backlog page source: the SaveState sort order, so two
   // replicas at the same batch page identically.
   std::vector<Violation> backlog = store_.Snapshot();
@@ -371,11 +320,6 @@ const ServiceStats& RepairService::stats() const {
   s.violations_repaired = m_fixes_->Value();
   s.anchors_visited = m_anchors_->Value();
   s.expansions = m_expansions_->Value();
-  s.snapshot_batches = m_snapshot_batches_->Value();
-  s.snapshot_patches = m_acquire_patch_ms_->Count();
-  s.snapshot_rebuilds = m_acquire_rebuild_ms_->Count();
-  s.snapshot_patch_ms = m_acquire_patch_ms_->Sum();
-  s.snapshot_rebuild_ms = m_acquire_rebuild_ms_->Sum();
   s.shard_patches = m_shard_patches_->Value();
   s.shard_rebuilds = m_shard_rebuilds_->Value();
   s.publish_patches = m_publish_patches_->Value();
@@ -398,10 +342,9 @@ const ServiceStats& RepairService::stats() const {
   s.published_reads = m_published_reads_->Value();
   s.stale_reads = m_stale_reads_->Value();
   // Lazily priced: MemoryBytes walks every attribute map, which must not
-  // ride the per-commit hot path AcquireSnapshot just took off it. Rolls
-  // up across the publisher's slots (and their shards when the store is
-  // sharded). The gauge keeps the Prometheus exposition in step with the
-  // view.
+  // ride the per-commit hot path. Rolls up across the publisher's slots
+  // (and their shards when the store is sharded). The gauge keeps the
+  // Prometheus exposition in step with the view.
   s.snapshot_memory_bytes = publisher_.MemoryBytes();
   m_snapshot_mem_->Set(static_cast<int64_t>(s.snapshot_memory_bytes));
   return s;
@@ -538,26 +481,14 @@ Result<BatchResult> RepairService::Commit() {
     obs::Stopwatch t;
     ParallelDeltaOptions popt;
     popt.shard_min_anchors = options_.shard_min_anchors;
-    popt.max_shards_per_rule = options_.max_shards_per_rule;
     ParallelDeltaDetector detector(pool_.get(), popt);
-    // When the batch fans out, the seed pass reads the service's CACHED
-    // snapshot, advanced to the current graph state by patching the
-    // delta-log slice accumulated since the last acquisition — O(delta)
-    // instead of the former per-commit O(|G|) rebuild (AcquireSnapshot
-    // falls back to a rebuild on the first batch and past the patch
-    // threshold). Tiny batches (and thread budget 1) read the live graph
-    // directly. Reads are bit-identical either way (tests/test_snapshot.cc,
-    // tests/test_snapshot_patch.cc).
-    const GraphView* view = &graph_;
-    if (detector.WouldFanOut(anchors.nodes.size() + anchors.edges.size())) {
-      view = &AcquireSnapshot(&res);
-      res.snapshot_reads = true;
-      m_snapshot_batches_->Add(1);
-    }
+    // Workers read graph_ itself: its const reads never write, and this
+    // thread, the only writer, blocks on the detector until every task is
+    // done.
     MatchStats st =
-        detector.Detect(*view, rules_, anchors, [&](RuleId r, const Match& m) {
+        detector.Detect(graph_, rules_, anchors, [&](RuleId r, const Match& m) {
           store_.Add(r, m,
-                     FixCost(*view, rules_[r], m, options_.cost_model, conf));
+                     FixCost(graph_, rules_[r], m, options_.cost_model, conf));
         });
     res.expansions += st.expansions;
     res.detect_ms = t.ElapsedMs();

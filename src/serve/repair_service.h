@@ -7,18 +7,21 @@
 //   1. edits are applied to the owned graph immediately (journaled);
 //   2. Commit() takes the journal slice since the last commit as the delta
 //      and seeds the violation store with batched PARALLEL delta-detection
-//      (parallel::ParallelDeltaDetector over the service pool — bit-identical
-//      to the sequential RunDelta seeding for any thread count). A
-//      fanning-out seed pass reads the service's CACHED snapshot store,
-//      advanced to the current state by patching the graph's delta log —
-//      O(delta) per commit instead of an O(V+E) rebuild (DESIGN.md
-//      "Incremental maintenance"; rebuilt past snapshot_rebuild_fraction);
+//      over the live graph (parallel::ParallelDeltaDetector over the
+//      service pool — bit-identical to the sequential RunDelta seeding for
+//      any thread count);
 //   3. repair cascades drain the store greedily, exactly like
 //      RepairEngine::RunDelta: pop cheapest, re-verify, apply, re-detect
-//      sequentially around the fix (a cascade delta is O(1) anchors).
+//      sequentially around the fix (a cascade delta is O(1) anchors);
+//   4. publication advances the writable snapshot slot to the committed
+//      state by patching the graph's delta log — O(delta) per commit
+//      instead of an O(V+E) rebuild (DESIGN.md "Incremental maintenance";
+//      a shard rebuilds past snapshot_rebuild_fraction) — and flips it to
+//      the readers. That is the one snapshot advance of a commit.
 //
 // Threading contract: all mutation happens on the caller's thread; worker
-// threads only read the frozen graph during step 2 (DESIGN.md "Threading
+// threads only read the graph while the writer blocks on them in step 2,
+// or advance one store shard each in step 4 (DESIGN.md "Threading
 // model"). The service is single-writer — callers serialize access — with
 // ONE carve-out: the published read path (DetectPublished / ReadViolations
 // / PinPublished) is safe from any thread concurrently with the writer; it
@@ -57,8 +60,6 @@ struct ServeOptions {
   /// Fan out a batch only when its delta induces at least this many anchors;
   /// smaller batches (and all per-fix cascades) run sequentially.
   size_t shard_min_anchors = 16;
-  /// Anchor slices per (rule, anchor kind); 0 = 2x pool threads.
-  size_t max_shards_per_rule = 0;
   /// Edge attribute carrying evidence confidence ("" disables weighting).
   std::string confidence_attr = "conf";
   /// Cost model for fix selection and cost accounting.
@@ -74,8 +75,8 @@ struct ServeOptions {
   /// paths. A hot shard rebuilds alone; 0 rebuilds every dirty shard.
   double snapshot_rebuild_fraction = 0.15;
   /// Storage shards of the published snapshot store (ShardedSnapshot): 0 =
-  /// one shard per pool thread (the default — build, patch and rebuild all
-  /// align with the detection fan-out), capped at
+  /// one shard per pool thread (the default — publication builds, patches
+  /// and rebuilds the shards in parallel over the pool), capped at
   /// ShardedSnapshot::kMaxShards. A service without a pool (num_threads 1)
   /// keeps one shard. Results are bit-identical across shard counts; only
   /// wall-clock changes.
@@ -142,15 +143,6 @@ struct BatchResult {
   size_t violations = 0;
   size_t fixes = 0;  ///< cascade fixes applied
   size_t expansions = 0;    ///< matcher expansions (detection + cascades)
-  /// True when seed detection fanned out over the pool and therefore read
-  /// from the snapshot store instead of the live graph (see DESIGN.md
-  /// "Storage model").
-  bool snapshot_reads = false;
-  /// Among snapshot-read batches: true when the cached snapshot was
-  /// advanced by an O(delta) patch, false when it was (re)built O(V+E).
-  bool snapshot_patched = false;
-  /// Snapshot acquisition time (patch or rebuild), included in detect_ms.
-  double snapshot_ms = 0.0;
   bool budget_exhausted = false;
   double detect_ms = 0.0;  ///< seed detection time
   double total_ms = 0.0;   ///< whole commit (detection + cascades)
@@ -188,20 +180,12 @@ struct ServiceStats {
   size_t violations_repaired = 0;
   size_t anchors_visited = 0;  ///< node + edge anchors over all batches
   size_t expansions = 0;
-  size_t snapshot_batches = 0;  ///< commits whose seed pass read a snapshot
-  /// Snapshot-read batches split by acquisition path (patches + rebuilds
-  /// == snapshot_batches), with cumulative acquisition wall-clock per path
-  /// — the O(delta)-vs-O(V+E) ledger of the serving commit path.
-  size_t snapshot_patches = 0;
-  size_t snapshot_rebuilds = 0;
-  double snapshot_patch_ms = 0.0;
-  double snapshot_rebuild_ms = 0.0;
-  /// Per-shard ledger of the seed-pass acquisitions: cumulative SHARDS
-  /// patched / rebuilt. A commit that patches 3 shards and rebuilds the
-  /// one hot shard adds 3 and 1 — the dirty-shard-only economics the
-  /// per-acquisition counters cannot express (they count the whole
-  /// acquisition as one rebuild whenever any shard rebuilt). With one
-  /// shard, shard_rebuilds == snapshot_rebuilds.
+  /// Per-shard ledger of the publication advances: cumulative SHARDS
+  /// patched / rebuilt. A publication that patches 3 shards and rebuilds
+  /// the one hot shard adds 3 and 1 — the dirty-shard-only economics the
+  /// per-publication counters below cannot express (they count the whole
+  /// advance as one rebuild whenever any shard rebuilt). With one shard,
+  /// shard_rebuilds == publish_rebuilds.
   size_t shard_patches = 0;
   size_t shard_rebuilds = 0;
   /// Heap footprint of the publisher's snapshot slots (0 when none).
@@ -409,31 +393,14 @@ class RepairService {
 
  private:
   SymbolId ConfAttr() const;
-  /// How one publisher-slot advancement went (AdvanceSlot): the caller
-  /// attributes the numbers to the seed-pass instruments or the
-  /// publication instruments depending on which path asked.
-  struct SlotAdvance {
-    bool patched = false;      ///< O(delta) patch (vs (re)build)
-    size_t shards_patched = 0;
-    size_t shards_rebuilt = 0;
-    double ms = 0.0;
-  };
-  /// Brings a publisher slot to the CURRENT graph state: builds its store
-  /// when it has none or its slice was trimmed off the delta log, and
-  /// otherwise advances it by the slice since its watermark, deciding
-  /// patch or rebuild PER SHARD against `snapshot_rebuild_fraction`
-  /// (dirty shards rebuild alone, in parallel over the pool).
-  SlotAdvance AdvanceSlot(serve::Generation* slot);
-  /// Hands out the read snapshot view for a fanning-out seed pass: the
-  /// publisher's writable slot advanced to the current graph (the SAME
-  /// slot Commit later advances past the cascades and publishes — the seed
-  /// pass is the expensive half of preparing the next generation). Updates
-  /// the patch/rebuild counters and trims the consumed delta log.
-  const GraphView& AcquireSnapshot(BatchResult* res);
   /// Publishes the writable slot as the next generation at committed batch
-  /// `batch`: advances it past any remaining delta (cascade fixes), copies
-  /// the backlog in SaveState order, flips the published pointer, trims
-  /// the consumed delta log.
+  /// `batch`: brings its store to the current graph state — a build when
+  /// it has none or its slice was trimmed off the delta log, otherwise an
+  /// advance by the slice since its watermark that decides patch or
+  /// rebuild PER SHARD against `snapshot_rebuild_fraction` (dirty shards
+  /// rebuild alone, in parallel over the pool) — copies the backlog in
+  /// SaveState order, flips the published pointer, and trims the consumed
+  /// delta log.
   void PublishGeneration(uint64_t batch);
   /// Trims the delta log to the oldest watermark of a slot that can still
   /// patch from it. Every publication advances a slot to the log end, so
@@ -475,9 +442,7 @@ class RepairService {
   size_t num_shards_ = 1;  ///< resolved ServeOptions::num_shards
   size_t clean_mark_ = 0;  ///< journal position of the last commit
   /// The double-buffered snapshot slots (a num_shards_-shard store each)
-  /// and the atomic publication point readers pin generations from. The
-  /// writable slot doubles as the seed-pass read cache: AcquireSnapshot
-  /// advances it, Commit publishes it.
+  /// and the atomic publication point readers pin generations from.
   serve::SnapshotPublisher publisher_;
   /// publisher_.abandoned() already exported to m_publish_abandoned_.
   uint64_t seen_abandoned_ = 0;
@@ -515,7 +480,6 @@ class RepairService {
   obs::Counter* m_fixes_;
   obs::Counter* m_anchors_;
   obs::Counter* m_expansions_;
-  obs::Counter* m_snapshot_batches_;
   obs::Counter* m_shard_patches_;
   obs::Counter* m_shard_rebuilds_;
   obs::Counter* m_publish_patches_;
@@ -540,8 +504,6 @@ class RepairService {
   obs::Gauge* m_published_generation_;
   obs::Histogram* m_commit_ms_;
   obs::Histogram* m_detect_ms_;
-  obs::Histogram* m_acquire_patch_ms_;    ///< count == snapshot_patches
-  obs::Histogram* m_acquire_rebuild_ms_;  ///< count == snapshot_rebuilds
   obs::Histogram* m_publish_ms_;  ///< count == publishes
   obs::Histogram* m_read_ms_;     ///< per published read
   /// Raw commit-latency samples of the most recent kLatencyWindow batches

@@ -329,22 +329,21 @@ std::string Session::HandleLocked(const Request& req) {
       return StrFormat(
           "stats batches=%zu edits=%zu op_errors=%zu violations=%zu "
           "fixes=%zu anchors=%zu pending=%zu p50_ms=%.2f p95_ms=%.2f "
-          "p99_ms=%.2f snapshot_patches=%zu snapshot_rebuilds=%zu "
-          "snapshot_mem=%zu shards=%zu shard_patches=%zu shard_rebuilds=%zu "
-          "read_only=%d wal_appends=%zu wal_syncs=%zu checkpoints=%zu "
-          "last_checkpoint=%zu published_generation=%zu published_reads=%zu "
-          "stale_reads=%zu publishes=%zu publish_ms=%.2f publish_patches=%zu "
-          "publish_rebuilds=%zu publish_abandoned=%zu",
+          "p99_ms=%.2f snapshot_mem=%zu shards=%zu shard_patches=%zu "
+          "shard_rebuilds=%zu read_only=%d wal_appends=%zu wal_syncs=%zu "
+          "checkpoints=%zu last_checkpoint=%zu published_generation=%zu "
+          "published_reads=%zu stale_reads=%zu publishes=%zu publish_ms=%.2f "
+          "publish_patches=%zu publish_rebuilds=%zu publish_abandoned=%zu",
           s.batches, s.edits, s.op_errors, s.violations_detected,
           s.violations_repaired, s.anchors_visited,
           service_->PendingEdits() + staged_.size(),
           s.LatencyPercentileMs(50), s.LatencyPercentileMs(95),
-          s.LatencyPercentileMs(99), s.snapshot_patches, s.snapshot_rebuilds,
-          s.snapshot_memory_bytes, service_->num_shards(), s.shard_patches,
-          s.shard_rebuilds, s.read_only ? 1 : 0, s.wal_appends, s.wal_syncs,
-          s.checkpoints, s.last_checkpoint_seq, s.published_generation,
-          s.published_reads, s.stale_reads, s.publishes, s.publish_ms,
-          s.publish_patches, s.publish_rebuilds, s.publish_abandoned);
+          s.LatencyPercentileMs(99), s.snapshot_memory_bytes,
+          service_->num_shards(), s.shard_patches, s.shard_rebuilds,
+          s.read_only ? 1 : 0, s.wal_appends, s.wal_syncs, s.checkpoints,
+          s.last_checkpoint_seq, s.published_generation, s.published_reads,
+          s.stale_reads, s.publishes, s.publish_ms, s.publish_patches,
+          s.publish_rebuilds, s.publish_abandoned);
     }
     case Verb::kMetrics: {
       // stats() refreshes the lazily-priced snapshot-memory gauge before

@@ -1,9 +1,7 @@
 // The one k-way ordered-merge primitive behind every "disjoint ascending
 // partitions back into one global order" path: the sharded store's
-// candidate/enumeration merges (sharded_snapshot.cc) and the
-// storage-aligned detector merges (parallel_detector.cc,
-// delta_detector.cc) all reduce to it, so the min-pick invariant lives in
-// exactly one place.
+// candidate/enumeration merges (sharded_snapshot.cc) all reduce to it, so
+// the min-pick invariant lives in exactly one place.
 #ifndef GREPAIR_UTIL_ORDERED_MERGE_H_
 #define GREPAIR_UTIL_ORDERED_MERGE_H_
 
@@ -17,7 +15,7 @@ namespace grepair {
 /// uint32 keys (a partition of one globally ascending key list):
 /// repeatedly finds the stream whose next key is smallest and calls
 /// flush(task, index) for it, visiting every (task, index) pair in global
-/// key order. O(total * K) with the small K of shard fan-outs.
+/// key order. O(total * K) with the small K of a sharded store.
 ///   size(t)   -> number of keys in stream t
 ///   key(t, i) -> stream t's i-th key (ascending in i)
 ///   flush(t, i) -> consume stream t's i-th key (emit its payload)

@@ -242,7 +242,7 @@ class AnchorShardingProperty : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(AnchorShardingProperty, AnyPartitionReproducesFindDelta) {
   const std::string domain = GetParam();
-  Result<DatasetBundle> b = Status::Ok();
+  Result<DatasetBundle> b = Status::Internal("no bundle built");
   InjectOptions iopt;
   iopt.rate = 0.06;
   if (domain == "kg") {

@@ -7,12 +7,14 @@
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "eval/experiment.h"
 #include "graph/error_injector.h"
 #include "graph/generators.h"
 #include "mining/rule_miner.h"
+#include "obs/trace.h"
 #include "parallel/parallel_detector.h"
 #include "parallel/thread_pool.h"
 #include "repair/engine.h"
@@ -270,6 +272,39 @@ TEST(ParallelEngineTest, FullRedetectionModeIdenticalAcrossThreads) {
   ASSERT_TRUE(r1.ok() && r4.ok());
   EXPECT_TRUE(g1.ContentEquals(g4));
   EXPECT_EQ(r1.value().remaining_violations, r4.value().remaining_violations);
+}
+
+// Every parallel pass reads the graph it is handed: a fanned-out
+// detection, a greedy repair and a mining scan over a live Graph run pool
+// tasks and build no snapshot.
+TEST(ParallelEngineTest, ParallelPassesBuildNoSnapshot) {
+#ifdef GREPAIR_OBS_DISABLED
+  GTEST_SKIP() << "tracing is compiled out";
+#else
+  DatasetBundle bundle = SmallKg();
+  // Rings created from here on (the fresh pools' workers) hold at most
+  // this many events each.
+  obs::SetTraceRingCapacity(4096);
+  obs::ClearTrace();
+  obs::SetTracingEnabled(true);
+  ViolationStore store;
+  DetectAll(bundle.graph, bundle.rules, &store, nullptr, 4);
+  RepairOptions ropt;
+  ropt.num_threads = 2;
+  Graph g = bundle.graph.Clone();
+  auto repaired = RepairEngine(ropt).Run(&g, bundle.rules);
+  MiningOptions mopt;
+  mopt.num_threads = 4;
+  MineRules(bundle.graph, mopt);
+  obs::SetTracingEnabled(false);
+  const std::string json = obs::ChromeTraceJson();
+  obs::ClearTrace();
+  obs::SetTraceRingCapacity(65536);
+
+  ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
+  EXPECT_NE(json.find("\"name\":\"pool.task\""), std::string::npos);
+  EXPECT_EQ(json.find("\"name\":\"snapshot.build\""), std::string::npos);
+#endif
 }
 
 // --------------------------------------------------- Mining integration

@@ -468,9 +468,9 @@ TEST(PublishOptionsTest, ValidateBoundsMaxReadThreads) {
   EXPECT_FALSE(sopt.Validate().ok());
 }
 
-// A 1-shard store hands readers (and the seed pass) its only shard, a
-// GraphSnapshot: matching through the routing wrapper loses the matcher's
-// zero-copy candidate spans. Wider stores read through the wrapper.
+// A 1-shard store hands readers its only shard, a GraphSnapshot: matching
+// through the routing wrapper loses the matcher's zero-copy candidate
+// spans. Wider stores read through the wrapper.
 TEST(PublishReadPathTest, OneShardServicesReadAGraphSnapshot) {
   DatasetBundle bundle = KgBundle(/*repaired=*/false);
   const struct {
@@ -489,7 +489,7 @@ TEST(PublishReadPathTest, OneShardServicesReadAGraphSnapshot) {
       ASSERT_TRUE(lease.valid());
       EXPECT_EQ(lease.view().AsSnapshot() != nullptr, c.want_shards == 1)
           << "threads " << c.threads << " shards " << c.shards;
-      EXPECT_EQ(lease.view().NumStorageShards(), c.want_shards);
+      EXPECT_EQ(lease->store->NumShards(), c.want_shards);
       lease.Release();
       Graph scratch = service.graph().Clone();
       ASSERT_TRUE(service.ApplyBatch(MutateRandom(&scratch, &rng, 8)).ok());

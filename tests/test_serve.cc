@@ -22,7 +22,7 @@ namespace {
 
 // A clean (fully repaired) bundle of the given domain.
 DatasetBundle CleanBundle(const std::string& domain, uint64_t seed = 3) {
-  Result<DatasetBundle> b = Status::Ok();
+  Result<DatasetBundle> b = Status::Internal("no bundle built");
   InjectOptions iopt;
   iopt.rate = 0.05;
   iopt.seed = seed + 5;

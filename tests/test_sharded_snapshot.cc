@@ -67,8 +67,6 @@ TEST(ShardedSnapshotTest, ShardsPartitionTheStore) {
 
   ShardedSnapshot ss(g, 5);
   EXPECT_EQ(ss.NumShards(), 5u);
-  EXPECT_EQ(ss.NumStorageShards(), 5u);
-  EXPECT_TRUE(ss.IsSnapshotView());
   EXPECT_EQ(ss.AsSnapshot(), nullptr);  // not a monolithic GraphSnapshot
 
   // Every shard owns exactly the ids the partition function assigns it,
@@ -219,9 +217,9 @@ std::vector<Violation> Drain(ViolationStore* store) {
   return out;
 }
 
-// DetectAll over a sharded store — as the view itself and through the
-// caller-provided snapshot seam — must reproduce the sequential live-graph
-// violation stream for every shard x thread combination.
+// DetectAll over a sharded store passed in as the view must reproduce the
+// sequential live-graph violation stream for every shard x thread
+// combination.
 void ExpectShardedDetectEquivalence(DatasetBundle bundle) {
   const Graph& g = bundle.graph;
   const RuleSet& rules = bundle.rules;
@@ -233,20 +231,16 @@ void ExpectShardedDetectEquivalence(DatasetBundle bundle) {
   for (size_t shards : {1u, 2u, 4u, 8u}) {
     ShardedSnapshot ss(g, shards);
     for (size_t threads : {1u, 2u, 4u, 8u}) {
-      ViolationStore as_view, as_param;
+      ViolationStore as_view;
       size_t n_v = DetectAll(ss, rules, &as_view, nullptr, threads);
-      size_t n_p = DetectAll(g, rules, &as_param, nullptr, threads, &ss);
       EXPECT_EQ(n_base, n_v) << "shards=" << shards << " threads=" << threads;
-      EXPECT_EQ(n_base, n_p) << "shards=" << shards << " threads=" << threads;
-      std::vector<Violation> a = Drain(&as_view), b = Drain(&as_param);
+      std::vector<Violation> a = Drain(&as_view);
       ASSERT_EQ(expect.size(), a.size())
           << "shards=" << shards << " threads=" << threads;
-      ASSERT_EQ(expect.size(), b.size());
       for (size_t i = 0; i < expect.size(); ++i) {
         EXPECT_EQ(expect[i].rule, a[i].rule) << "pop " << i;
         EXPECT_EQ(expect[i].alternatives, a[i].alternatives) << "pop " << i;
         EXPECT_DOUBLE_EQ(expect[i].best_cost, a[i].best_cost) << "pop " << i;
-        EXPECT_EQ(expect[i].alternatives, b[i].alternatives) << "pop " << i;
       }
     }
     // Seed candidates come from the merged shard partitions.
@@ -299,8 +293,8 @@ TEST(ShardedSnapshotTest, CitationDetectEquivalenceAcrossShardsAndThreads) {
 // ---------------------------------------------------------- serving layer
 
 // The same edit stream committed through a sharded-store service and a
-// monolithic-store twin produces identical graphs, fixes and backlogs —
-// and only the sharded service moves the per-shard ledger.
+// monolithic-store twin produces identical graphs, fixes and backlogs,
+// and both publish every commit through the per-shard ledger.
 TEST(ShardedSnapshotTest, ServiceCommitsBitIdenticalAcrossShardCounts) {
   KgOptions gopt;
   gopt.num_persons = 150;
@@ -320,7 +314,7 @@ TEST(ShardedSnapshotTest, ServiceCommitsBitIdenticalAcrossShardCounts) {
 
   ServeOptions mono;
   mono.num_threads = 4;
-  mono.shard_min_anchors = 2;  // fan out (and snapshot) nearly every batch
+  mono.shard_min_anchors = 2;  // fan out nearly every batch
   mono.num_shards = 1;
   ServeOptions sharded = mono;
   sharded.num_shards = 4;
@@ -348,26 +342,22 @@ TEST(ShardedSnapshotTest, ServiceCommitsBitIdenticalAcrossShardCounts) {
     EXPECT_EQ(ra.value().fixes, rc.value().fixes) << "batch " << batch;
     EXPECT_EQ(ra.value().violations, rc.value().violations);
     EXPECT_EQ(ra.value().expansions, rc.value().expansions);
-    EXPECT_EQ(ra.value().snapshot_reads, rc.value().snapshot_reads);
     EXPECT_TRUE(a.graph().ContentEquals(c.graph())) << "batch " << batch;
     scratch = a.graph().Clone();
   }
 
   const ServiceStats& sa = a.stats();
   const ServiceStats& sc = c.stats();
-  EXPECT_EQ(sa.snapshot_batches, sc.snapshot_batches);
-  EXPECT_EQ(sc.snapshot_patches + sc.snapshot_rebuilds, sc.snapshot_batches);
-  ASSERT_GT(sc.snapshot_batches, 1u);
-  // With one shard the per-shard ledger mirrors the per-acquisition one;
-  // the sharded service's first acquisition built all four shards.
-  EXPECT_EQ(sa.shard_rebuilds, sa.snapshot_rebuilds);
-  EXPECT_GE(sc.shard_rebuilds, 4u);
-  EXPECT_GT(sc.shard_patches + sc.shard_rebuilds, 4u);
+  EXPECT_EQ(sa.publishes, sc.publishes);
+  // With one shard the per-shard ledger mirrors the per-publication one;
+  // the sharded service built all four shards of both publisher slots.
+  EXPECT_EQ(sa.shard_rebuilds, sa.publish_rebuilds);
+  EXPECT_GE(sc.shard_rebuilds, 8u);
   EXPECT_GT(sc.snapshot_memory_bytes, 0u);
 }
 
 // A hot shard (all edits within one shard's nodes) with a tiny rebuild
-// fraction: steady-state commits rebuild ONE shard per acquisition, never
+// fraction: steady-state commits rebuild ONE shard per publication, never
 // the whole store.
 TEST(ShardedSnapshotTest, ServiceRebuildsOnlyTheHotShard) {
   // A rule that can never match: anchors still fan the commit out, but no
@@ -415,15 +405,14 @@ TEST(ShardedSnapshotTest, ServiceRebuildsOnlyTheHotShard) {
     auto r = service.ApplyBatch(ops);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_EQ(r.value().fixes, 0u);
-    if (r.value().snapshot_reads) ++batches;
+    ++batches;
   }
-  ASSERT_GT(batches, 1u);
   const ServiceStats& s = service.stats();
-  // First acquisition: full 4-shard build. Every later one: the hot shard
-  // alone.
-  EXPECT_EQ(s.shard_rebuilds, 4 + (batches - 1));
+  // Construction and the first commit each build a slot's full 4-shard
+  // store. Every later publication rebuilds the hot shard alone.
+  EXPECT_EQ(s.shard_rebuilds, 8 + (batches - 1));
   EXPECT_EQ(s.shard_patches, 0u);
-  EXPECT_EQ(s.snapshot_rebuilds, batches);
+  EXPECT_EQ(s.publish_rebuilds, batches + 1);
 }
 
 // -------------------------------------------------------------- validation
