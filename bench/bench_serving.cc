@@ -1,6 +1,6 @@
 // S1 — Serving throughput: a RepairService under a stream of random edits,
-// swept over batch size × worker threads on a clean repaired knowledge
-// graph. Reports per-batch commit latency (p50/p95 from ServiceStats) and
+// swept over batch size × worker threads (the pool of the shard-parallel
+// publication advance) on a clean repaired knowledge graph. Reports per-batch commit latency (p50/p95 from ServiceStats) and
 // edit throughput; results are bit-identical across thread counts (asserted
 // in tests/test_serve.cc), so the sweep measures pure wall-clock. Each row
 // is also emitted as a self-describing JSON line (see PrintBenchHeader).
@@ -320,7 +320,6 @@ void ReadPathSweep(const DatasetBundle& clean, size_t readers,
                    TableWriter* table) {
   ServeOptions sopt;
   sopt.num_threads = 2;
-  sopt.shard_min_anchors = 2;
   RepairService service(clean.graph.Clone(), clean.rules, sopt);
   std::mutex service_mu;  // the baseline's serialization point
   std::atomic<bool> stop{false};
@@ -420,7 +419,6 @@ int main() {
     for (size_t threads : thread_counts) {
       ServeOptions sopt;
       sopt.num_threads = threads;
-      sopt.shard_min_anchors = 2;  // fan out everything but single anchors
       RepairService service(bundle.graph.Clone(), bundle.rules, sopt);
       Graph scratch = bundle.graph.Clone();
       Rng rng(17);  // same stream for every (batch size, threads) cell

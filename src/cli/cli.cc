@@ -9,7 +9,6 @@
 #include "consistency/simulator.h"
 #include "graph/error_injector.h"
 #include "graph/graph_io.h"
-#include "graph/snapshot.h"
 #include "grr/rule_parser.h"
 #include "grr/standard_rules.h"
 #include "match/plan.h"
@@ -46,7 +45,10 @@ constexpr char kUsage[] = R"(usage:
   grepair wal dump <dir>
 
 --threads N fans detection / mining statistics out over N worker threads
-(0 = hardware concurrency); results are identical to --threads 1.
+(0 = hardware concurrency); results are identical to --threads 1. For
+serve it sizes only the publication advance: the published store's shards
+build, patch and rebuild over N workers, while detection and repair run on
+the committing thread.
 --shards S partitions serve's published snapshot store into S storage
 shards (0 = one per worker thread; a 1-thread serve keeps one shard);
 results are identical for any S, but a hot shard rebuilds alone instead
@@ -366,14 +368,11 @@ Status CmdExplainPlan(const Args& args, std::string* out) {
   GREPAIR_ASSIGN_OR_RETURN(Graph g, LoadGraph(args.positional[1], vocab));
   GREPAIR_ASSIGN_OR_RETURN(std::string text, ReadFile(args.positional[2]));
   GREPAIR_ASSIGN_OR_RETURN(RuleSet rules, ParseRules(text, vocab));
-  // Bodies compile against the same kind of frozen view a detection pass
-  // reads, so this prints the bodies that pass's Matchers compile.
-  GraphSnapshot snap(g);
   for (RuleId r = 0; r < rules.size(); ++r) {
     const Rule& rule = rules[r];
     *out += StrFormat("rule %zu: %s\n", static_cast<size_t>(r),
                       rule.ToString(*vocab).c_str());
-    MatchPlan plan = MatchPlan::Compile(rule.pattern(), snap);
+    MatchPlan plan = MatchPlan::Compile(rule.pattern(), g);
     *out += plan.Explain(*vocab);
     *out += "\n";
   }

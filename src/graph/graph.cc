@@ -421,13 +421,6 @@ size_t Graph::CountNodesWithLabel(SymbolId label) const {
   return NodesWithLabel(label).size();
 }
 
-size_t Graph::CountEdgesWithLabel(SymbolId label) const {
-  size_t count = 0;
-  for (EdgeId e = 0; e < edges_.size(); ++e)
-    if (edges_[e].alive && edges_[e].label == label) ++count;
-  return count;
-}
-
 Status Graph::UndoEntry(const EditEntry& e) {
   switch (e.kind) {
     case EditKind::kAddNode: {

@@ -138,8 +138,6 @@ class Graph : public GraphView {
                             std::vector<NodeId>* out) const override;
   /// Count of alive nodes carrying `label`.
   size_t CountNodesWithLabel(SymbolId label) const override;
-  /// Count of alive edges carrying `label`.
-  size_t CountEdgesWithLabel(SymbolId label) const override;
 
   // --- Journal ---------------------------------------------------------
 

@@ -144,7 +144,6 @@ class GraphView {
   virtual bool CollectNodesWithAttr(SymbolId attr, SymbolId value,
                                     std::vector<NodeId>* out) const = 0;
   virtual size_t CountNodesWithLabel(SymbolId label) const = 0;
-  virtual size_t CountEdgesWithLabel(SymbolId label) const = 0;
 
   /// Non-null when this view IS an immutable GraphSnapshot, so the matcher
   /// can read its sorted candidate partitions as zero-copy spans.

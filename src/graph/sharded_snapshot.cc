@@ -244,10 +244,4 @@ size_t ShardedSnapshot::CountNodesWithLabel(SymbolId label) const {
   return total;
 }
 
-size_t ShardedSnapshot::CountEdgesWithLabel(SymbolId label) const {
-  size_t total = 0;
-  for (const auto& s : shards_) total += s->CountEdgesWithLabel(label);
-  return total;
-}
-
 }  // namespace grepair

@@ -132,7 +132,6 @@ class ShardedSnapshot final : public GraphView {
   bool CollectNodesWithAttr(SymbolId attr, SymbolId value,
                             std::vector<NodeId>* out) const override;
   size_t CountNodesWithLabel(SymbolId label) const override;
-  size_t CountEdgesWithLabel(SymbolId label) const override;
 
  private:
   const GraphSnapshot& NodeShard(NodeId n) const {

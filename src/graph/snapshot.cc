@@ -124,7 +124,6 @@ GraphSnapshot::GraphSnapshot(const GraphView& g, SnapshotShard shard)
     edge_alive_[e] = 1;
     ++num_edges_;
     alive_edges_.push_back(e);
-    ++edge_label_count_[v.label];
   }
 
   // --- CSR adjacency, source order preserved verbatim ------------------
@@ -282,11 +281,6 @@ size_t GraphSnapshot::CountNodesWithLabel(SymbolId label) const {
   return NodesWithLabelSorted(label).size();
 }
 
-size_t GraphSnapshot::CountEdgesWithLabel(SymbolId label) const {
-  auto it = edge_label_count_.find(label);
-  return it == edge_label_count_.end() ? 0 : it->second;
-}
-
 // ------------------------------------------------------------------ patch
 
 void GraphSnapshot::Patch(const EditEntry* records, size_t n) {
@@ -353,9 +347,7 @@ void GraphSnapshot::PatchOne(const EditEntry& rec) {
       // snapshots that see a relabel).
       SnapshotBaseEdgeLabels();
       SearchIndexInvalidate(e);  // keyed by the OLD label
-      --edge_label_count_[edge_label_[e]];
       edge_label_[e] = rec.new_sym;
-      ++edge_label_count_[rec.new_sym];
       SearchIndexInsert(e);  // re-enter under the new label
       return;
     }
@@ -421,7 +413,6 @@ void GraphSnapshot::PatchAddEdge(const EditEntry& rec) {
     edge_label_[e] = rec.label;
     edge_attrs_[e] = AttrMapFromSnapshot(rec.attr_snapshot);
     ++num_edges_;
-    ++edge_label_count_[rec.label];
     // Tail append: Graph::LinkEdge pushes back, and an undo-revived edge
     // lands at the tail the same way.
     TouchAdjacency(rec.src);
@@ -446,7 +437,6 @@ void GraphSnapshot::PatchRemoveEdge(const EditEntry& rec) {
     out.erase(std::find(out.begin(), out.end(), e));
     edge_alive_[e] = 0;
     --num_edges_;
-    --edge_label_count_[edge_label_[e]];
     // Keep the tombstone addressable; empty for the inverse of kAddEdge.
     edge_attrs_[e] = AttrMapFromSnapshot(rec.attr_snapshot);
     if (!InBaseAliveEdges(e)) SortedErase(&alive_added_, e);
@@ -598,9 +588,9 @@ size_t GraphSnapshot::MemoryBytes() const {
              m.entries().capacity() * sizeof(std::pair<SymbolId, SymbolId>);
   // Partition directories and patch overlay containers.
   bytes += HashMapBytes(label_dir_) + HashMapBytes(attr_dir_) +
-           HashMapBytes(edge_label_count_) + HashMapBytes(out_patch_) +
-           HashMapBytes(in_patch_) + HashMapBytes(label_patch_) +
-           HashMapBytes(attr_patch_) + HashMapBytes(edge_search_dead_);
+           HashMapBytes(out_patch_) + HashMapBytes(in_patch_) +
+           HashMapBytes(label_patch_) + HashMapBytes(attr_patch_) +
+           HashMapBytes(edge_search_dead_);
   for (const auto& [n, v] : out_patch_)
     bytes += v.capacity() * sizeof(EdgeId);
   for (const auto& [n, v] : in_patch_) bytes += v.capacity() * sizeof(EdgeId);

@@ -160,7 +160,6 @@ class GraphSnapshot final : public GraphView {
   bool CollectNodesWithAttr(SymbolId attr, SymbolId value,
                             std::vector<NodeId>* out) const override;
   size_t CountNodesWithLabel(SymbolId label) const override;
-  size_t CountEdgesWithLabel(SymbolId label) const override;
 
   const GraphSnapshot* AsSnapshot() const override { return this; }
 
@@ -272,7 +271,6 @@ class GraphSnapshot final : public GraphView {
   // the *_added_ side arrays carry additions.
   std::vector<EdgeId> edge_search_;
   std::vector<EdgeId> alive_edges_;
-  std::unordered_map<SymbolId, size_t> edge_label_count_;
 
   // --- Patch overlay state ---------------------------------------------
   size_t base_node_bound_ = 0;  ///< node ids with valid base CSR rows

@@ -14,7 +14,7 @@
 #ifndef GREPAIR_MATCH_INCREMENTAL_H_
 #define GREPAIR_MATCH_INCREMENTAL_H_
 
-#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/edit_log.h"
@@ -23,11 +23,17 @@
 
 namespace grepair {
 
-/// Footprint hash used to deduplicate delta-found matches (a match reachable
-/// through two anchors must be reported once). Shared by FindDelta and the
-/// sharded merge in parallel::ParallelDeltaDetector so both paths keep the
-/// exact same survivor set.
-uint64_t DeltaMatchHash(const Match& m);
+/// The anchors a delta induces: the alive elements it touched, ascending.
+struct DeltaAnchors {
+  std::vector<NodeId> nodes;  ///< touched, alive nodes
+  std::vector<EdgeId> edges;  ///< added/relabeled, alive edges
+};
+
+/// Extracts the anchors of `delta` (journal entries already applied to
+/// `g`). It reads only the graph and the delta, never a pattern, so one
+/// computation serves every rule of a rule set.
+DeltaAnchors ComputeDeltaAnchors(const GraphView& g,
+                                 std::span<const EditEntry> delta);
 
 /// Incremental (delta-anchored) pattern search over one graph. It holds
 /// one Matcher for its whole lifetime, so every anchored search of one
@@ -38,16 +44,6 @@ class DeltaMatcher {
  public:
   DeltaMatcher(const GraphView& graph, const Pattern& pattern);
 
-  /// The anchors a delta induces — exposed for tests, diagnostics and
-  /// callers that search several rules over one delta. Anchor extraction
-  /// reads only the graph and the delta, never the pattern, so one
-  /// computation serves every rule of a rule set.
-  struct Anchors {
-    std::vector<NodeId> nodes;  ///< touched, alive nodes
-    std::vector<EdgeId> edges;  ///< added/relabeled, alive edges
-  };
-  Anchors ComputeAnchors(const std::vector<EditEntry>& delta) const;
-
   /// Enumerates every match that can be NEW after applying `delta`
   /// (journal entries). May also report surviving old matches; never misses
   /// a new one. Matches are deduplicated within one call.
@@ -55,21 +51,11 @@ class DeltaMatcher {
                        const MatchCallback& cb) const;
 
   /// Same search from precomputed anchors (they must describe the current
-  /// graph state).
-  MatchStats FindDelta(const Anchors& anchors, const MatchCallback& cb) const;
-
-  /// Raw anchored enumeration through a slice of anchors, WITHOUT the
-  /// cross-anchor dedup — the sharding primitive of the parallel delta
-  /// path. FindDelta(delta, cb) is exactly: MatchEdgeAnchors over all
-  /// anchor edges, then MatchNodeAnchors over all anchor nodes, filtered
-  /// through a DeltaMatchHash dedup set. Each anchored search carries its
-  /// own expansion budget, so any partition of the anchor lists into
-  /// contiguous slices replays the identical searches (tested in
-  /// tests/test_incremental.cc).
-  MatchStats MatchEdgeAnchors(const std::vector<EdgeId>& anchor_edges,
-                              const MatchCallback& cb) const;
-  MatchStats MatchNodeAnchors(const std::vector<NodeId>& anchor_nodes,
-                              const MatchCallback& cb) const;
+  /// graph state): one anchored search per (anchor, pattern element of a
+  /// compatible label), edge anchors first, each in ascending id order,
+  /// and each with its own expansion budget.
+  MatchStats FindDelta(const DeltaAnchors& anchors,
+                       const MatchCallback& cb) const;
 
  private:
   const GraphView& g_;

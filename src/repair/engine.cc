@@ -6,7 +6,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "match/incremental.h"
 #include "parallel/parallel_detector.h"
 #include "parallel/thread_pool.h"
 #include "repair/interaction.h"
@@ -63,21 +62,22 @@ size_t CountWith(const GraphView& g, const RuleSet& rules,
   return DetectInto(g, rules, &store, model, /*conf_attr=*/0, nullptr, pool);
 }
 
-std::vector<EditEntry> JournalSlice(const Graph& g, size_t from) {
-  return std::vector<EditEntry>(g.Journal().begin() + from, g.Journal().end());
+// The anchors of the journal slice since `from`.
+DeltaAnchors AnchorsSince(const Graph& g, size_t from) {
+  return ComputeDeltaAnchors(g, std::span(g.Journal()).subspan(from));
 }
 
 }  // namespace
 
 // Incremental re-detection: only around the delta.
 void DetectDelta(const GraphView& g, const RuleSet& rules,
-                 const std::vector<EditEntry>& delta, ViolationStore* store,
+                 const DeltaAnchors& anchors, ViolationStore* store,
                  const CostModel& model, SymbolId conf_attr,
                  size_t* expansions) {
   for (RuleId r = 0; r < rules.size(); ++r) {
     const Rule& rule = rules[r];
     DeltaMatcher dm(g, rule.pattern());
-    MatchStats st = dm.FindDelta(delta, [&](const Match& m) {
+    MatchStats st = dm.FindDelta(anchors, [&](const Match& m) {
       double cost = FixCost(g, rule, m, model, conf_attr);
       store->Add(r, m, cost);
       return true;
@@ -130,15 +130,13 @@ Result<RepairResult> RepairEngine::RunDelta(Graph* g, const RuleSet& rules,
   if (g == nullptr) return Status::InvalidArgument("null graph");
   if (since_mark > g->JournalSize())
     return Status::OutOfRange("RunDelta: mark beyond journal");
-  std::vector<EditEntry> delta = JournalSlice(*g, since_mark);
-  return RunGreedy(g, rules, &delta);
+  return RunGreedy(g, rules, since_mark);
 }
 
 // --------------------------------------------------------------- Greedy
 
 Result<RepairResult> RepairEngine::RunGreedy(
-    Graph* g, const RuleSet& rules,
-    const std::vector<EditEntry>* seed_delta) const {
+    Graph* g, const RuleSet& rules, std::optional<size_t> since_mark) const {
   Timer total;
   RepairResult res;
   SymbolId conf = ConfAttr(*g);
@@ -155,14 +153,14 @@ Result<RepairResult> RepairEngine::RunGreedy(
   ViolationStore store;
   {
     Timer t;
-    if (seed_delta == nullptr) {
+    if (!since_mark) {
       res.initial_violations = DetectInto(
           *g, rules, &store, options_.cost_model, conf,
           &res.matcher_expansions, detect_pool());
     } else {
       // Dynamic mode: seed only with violations the delta can have created.
-      DetectDelta(*g, rules, *seed_delta, &store, options_.cost_model, conf,
-                  &res.matcher_expansions);
+      DetectDelta(*g, rules, AnchorsSince(*g, *since_mark), &store,
+                  options_.cost_model, conf, &res.matcher_expansions);
       res.initial_violations = store.Size();
     }
     res.detect_ms += t.ElapsedMs();
@@ -193,9 +191,8 @@ Result<RepairResult> RepairEngine::RunGreedy(
     {
       Timer t;
       if (options_.incremental) {
-        std::vector<EditEntry> delta = JournalSlice(*g, mark);
-        DetectDelta(*g, rules, delta, &store, options_.cost_model, conf,
-                    &res.matcher_expansions);
+        DetectDelta(*g, rules, AnchorsSince(*g, mark), &store,
+                    options_.cost_model, conf, &res.matcher_expansions);
       } else {
         store.Clear();
         DetectInto(*g, rules, &store, options_.cost_model, conf,
@@ -212,7 +209,7 @@ Result<RepairResult> RepairEngine::RunGreedy(
     }
   }
 
-  if (seed_delta == nullptr) {
+  if (!since_mark) {
     res.remaining_violations = CountWith(*g, rules, detect_pool());
   } else {
     // Dynamic mode stays O(delta): the store was drained, so anything left
@@ -362,9 +359,8 @@ Result<RepairResult> RepairEngine::RunBatch(Graph* g,
     {
       Timer t;
       if (options_.incremental) {
-        std::vector<EditEntry> delta = JournalSlice(*g, round_mark);
-        DetectDelta(*g, rules, delta, &store, options_.cost_model, conf,
-                    &res.matcher_expansions);
+        DetectDelta(*g, rules, AnchorsSince(*g, round_mark), &store,
+                    options_.cost_model, conf, &res.matcher_expansions);
         // Unchosen candidates may still be violations; re-add (dedup safe).
         for (size_t i = 0; i < cands.size(); ++i) {
           if (std::find(chosen.begin(), chosen.end(), i) != chosen.end())

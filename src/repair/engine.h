@@ -5,11 +5,13 @@
 #ifndef GREPAIR_REPAIR_ENGINE_H_
 #define GREPAIR_REPAIR_ENGINE_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "graph/graph.h"
 #include "grr/rule.h"
+#include "match/incremental.h"
 #include "repair/fix.h"
 #include "repair/strategy.h"
 #include "repair/violation.h"
@@ -77,13 +79,14 @@ size_t CountViolations(const GraphView& g, const RuleSet& rules,
                        size_t num_threads = 1);
 
 /// Delta-anchored re-detection: adds, for every rule, each violation the
-/// edit slice `delta` can have introduced to `store`, costed with
-/// `model`/`conf_attr` exactly like full detection. Sequential; the seeding
-/// step of RunDelta, exposed for the serving layer (src/serve/), whose
-/// batched path routes the same search through
-/// parallel::ParallelDeltaDetector instead.
+/// edit slice behind `anchors` (ComputeDeltaAnchors, once per slice) can
+/// have introduced to `store`, costed with `model`/`conf_attr` exactly like
+/// full detection. Sequential, on the calling thread. Every delta pass runs
+/// through it: the seed and per-fix cascade of RunDelta, the incremental
+/// re-detection of RunGreedy and RunBatch, and a served commit's seed and
+/// cascade (src/serve/).
 void DetectDelta(const GraphView& g, const RuleSet& rules,
-                 const std::vector<EditEntry>& delta, ViolationStore* store,
+                 const DeltaAnchors& anchors, ViolationStore* store,
                  const CostModel& model, SymbolId conf_attr,
                  size_t* expansions);
 
@@ -109,9 +112,11 @@ class RepairEngine {
   const RepairOptions& options() const { return options_; }
 
  private:
-  Result<RepairResult> RunGreedy(Graph* g, const RuleSet& rules,
-                                 const std::vector<EditEntry>* seed_delta =
-                                     nullptr) const;
+  /// With `since_mark`, seeds from the journal slice after it (RunDelta)
+  /// instead of a full detection pass.
+  Result<RepairResult> RunGreedy(
+      Graph* g, const RuleSet& rules,
+      std::optional<size_t> since_mark = std::nullopt) const;
   Result<RepairResult> RunNaive(Graph* g, const RuleSet& rules) const;
   Result<RepairResult> RunBatch(Graph* g, const RuleSet& rules) const;
   Result<RepairResult> RunExact(Graph* g, const RuleSet& rules) const;

@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "graph/graph_io.h"
-#include "match/incremental.h"
 #include "obs/trace.h"
 #include "repair/fix.h"
 #include "storage/checkpoint.h"
@@ -270,9 +269,17 @@ void RepairService::PublishGeneration(uint64_t batch) {
   m_shard_patches_->Add(adv.shards_patched);
   m_shard_rebuilds_->Add(adv.shards_rebuilt);
   (adv.shards_rebuilt == 0 ? m_publish_patches_ : m_publish_rebuilds_)->Add(1);
-  // Deterministic backlog page source: the SaveState sort order, so two
-  // replicas at the same batch page identically.
-  std::vector<Violation> backlog = store_.Snapshot();
+  // The backlog page source holds only violations that still hold on the
+  // committed graph: the store invalidates lazily, so an entry a later edit
+  // ended stays in it until PopBest re-verifies it. The SaveState sort
+  // order makes two replicas at the same batch page identically.
+  std::vector<Violation> backlog;
+  const SymbolId conf = ConfAttr();
+  for (Violation& v : store_.Snapshot()) {
+    if (CheapestLiveAlternative(graph_, rules_[v.rule], v.alternatives,
+                                options_.cost_model, conf) != nullptr)
+      backlog.push_back(std::move(v));
+  }
   std::sort(backlog.begin(), backlog.end(),
             [](const Violation& a, const Violation& b) {
               if (a.rule != b.rule) return a.rule < b.rule;
@@ -462,35 +469,22 @@ Result<BatchResult> RepairService::Commit() {
     }
   }
 
-  std::vector<EditEntry> delta(graph_.Journal().begin() + clean_mark_,
-                               graph_.Journal().end());
-  DeltaMatcher::Anchors anchors;  // pattern-independent: computed once
-  if (!rules_.empty()) {
+  DeltaAnchors anchors;
+  if (!rules_.empty()) {  // with no rule to search, the delta anchors nothing
     OBS_SPAN("commit.delta");
-    anchors = DeltaMatcher(graph_, rules_[0].pattern()).ComputeAnchors(delta);
+    anchors = ComputeDeltaAnchors(
+        graph_, std::span(graph_.Journal()).subspan(clean_mark_));
     res.anchor_nodes = anchors.nodes.size();
     res.anchor_edges = anchors.edges.size();
   }
 
-  // Seed: batched parallel delta-detection. The detector falls back to the
-  // sequential per-rule FindDelta loop for tiny deltas or a 1-thread budget;
-  // either way the store receives the exact RunDelta seeding.
+  // Seed: the RunDelta seeding, on this thread.
   const size_t backlog = store_.Size();  // budget-cut leftovers, if any
   {
     OBS_SPAN("commit.detect");
     obs::Stopwatch t;
-    ParallelDeltaOptions popt;
-    popt.shard_min_anchors = options_.shard_min_anchors;
-    ParallelDeltaDetector detector(pool_.get(), popt);
-    // Workers read graph_ itself: its const reads never write, and this
-    // thread, the only writer, blocks on the detector until every task is
-    // done.
-    MatchStats st =
-        detector.Detect(graph_, rules_, anchors, [&](RuleId r, const Match& m) {
-          store_.Add(r, m,
-                     FixCost(graph_, rules_[r], m, options_.cost_model, conf));
-        });
-    res.expansions += st.expansions;
+    DetectDelta(graph_, rules_, anchors, &store_, options_.cost_model, conf,
+                &res.expansions);
     res.detect_ms = t.ElapsedMs();
     m_detect_ms_->Observe(res.detect_ms);
   }
@@ -517,12 +511,10 @@ Result<BatchResult> RepairService::Commit() {
     if (!applied.ok()) continue;  // defensive: verified matches must apply
     ++res.fixes;
 
-    std::vector<EditEntry> fix_delta(graph_.Journal().begin() + mark,
-                                     graph_.Journal().end());
-    size_t cascade_expansions = 0;
-    DetectDelta(graph_, rules_, fix_delta, &store_, options_.cost_model, conf,
-                &cascade_expansions);
-    res.expansions += cascade_expansions;
+    DetectDelta(graph_, rules_,
+                ComputeDeltaAnchors(graph_,
+                                    std::span(graph_.Journal()).subspan(mark)),
+                &store_, options_.cost_model, conf, &res.expansions);
   }
 
   clean_mark_ = graph_.JournalSize();

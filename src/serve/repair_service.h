@@ -6,23 +6,22 @@
 // Lifecycle per batch (DESIGN.md "Serving model"):
 //   1. edits are applied to the owned graph immediately (journaled);
 //   2. Commit() takes the journal slice since the last commit as the delta
-//      and seeds the violation store with batched PARALLEL delta-detection
-//      over the live graph (parallel::ParallelDeltaDetector over the
-//      service pool — bit-identical to the sequential RunDelta seeding for
-//      any thread count);
+//      and seeds the violation store through DetectDelta over the live
+//      graph — the RunDelta seeding, on the committing thread;
 //   3. repair cascades drain the store greedily, exactly like
 //      RepairEngine::RunDelta: pop cheapest, re-verify, apply, re-detect
-//      sequentially around the fix (a cascade delta is O(1) anchors);
+//      around the fix through the same DetectDelta;
 //   4. publication advances the writable snapshot slot to the committed
 //      state by patching the graph's delta log — O(delta) per commit
 //      instead of an O(V+E) rebuild (DESIGN.md "Incremental maintenance";
-//      a shard rebuilds past snapshot_rebuild_fraction) — and flips it to
-//      the readers. That is the one snapshot advance of a commit.
+//      a shard rebuilds past snapshot_rebuild_fraction) — copies the live
+//      backlog, and flips it to the readers. That is the one snapshot
+//      advance of a commit.
 //
-// Threading contract: all mutation happens on the caller's thread; worker
-// threads only read the graph while the writer blocks on them in step 2,
-// or advance one store shard each in step 4 (DESIGN.md "Threading
-// model"). The service is single-writer — callers serialize access — with
+// Threading contract: all mutation happens on the caller's thread; the
+// only worker threads are the service pool's, which advance one store
+// shard each in step 4 while the writer blocks on them (DESIGN.md
+// "Threading model"). The service is single-writer — callers serialize access — with
 // ONE carve-out: the published read path (DetectPublished / ReadViolations
 // / PinPublished) is safe from any thread concurrently with the writer; it
 // runs against immutable epoch-published snapshot generations
@@ -42,7 +41,6 @@
 #include "serve/publisher.h"
 #include "grr/rule.h"
 #include "obs/metrics.h"
-#include "parallel/delta_detector.h"
 #include "parallel/thread_pool.h"
 #include "repair/engine.h"
 #include "repair/violation.h"
@@ -54,12 +52,11 @@ namespace grepair {
 
 /// Service configuration.
 struct ServeOptions {
-  /// Worker threads for batched delta-detection (0 = hardware concurrency,
-  /// 1 = sequential, no pool). Results are bit-identical across counts.
+  /// Worker threads of the publication advance, which builds, patches and
+  /// rebuilds the store shards in parallel (0 = hardware concurrency, 1 =
+  /// no pool). Detection and cascades run on the committing thread at any
+  /// count. Results are bit-identical across counts.
   size_t num_threads = 1;
-  /// Fan out a batch only when its delta induces at least this many anchors;
-  /// smaller batches (and all per-fix cascades) run sequentially.
-  size_t shard_min_anchors = 16;
   /// Edge attribute carrying evidence confidence ("" disables weighting).
   std::string confidence_attr = "conf";
   /// Cost model for fix selection and cost accounting.
@@ -247,11 +244,13 @@ struct PublishedDetect {
 
 /// One page of the published violation backlog (`violations` verb): the
 /// budget-cut leftovers pending repair at the published batch boundary, in
-/// the deterministic SaveState order.
+/// the deterministic SaveState order. Only violations that still hold on
+/// that boundary's graph are published: the store invalidates lazily, so
+/// it may also hold entries a later edit already ended.
 struct PublishedViolations {
   uint64_t generation = 0;
   uint64_t batch = 0;
-  size_t total = 0;   ///< backlog size at the boundary
+  size_t total = 0;   ///< live backlog size at the boundary
   size_t offset = 0;  ///< first row's index into the sorted backlog
   struct Row {
     std::string rule;  ///< rule name
@@ -398,9 +397,9 @@ class RepairService {
   /// it has none or its slice was trimmed off the delta log, otherwise an
   /// advance by the slice since its watermark that decides patch or
   /// rebuild PER SHARD against `snapshot_rebuild_fraction` (dirty shards
-  /// rebuild alone, in parallel over the pool) — copies the backlog in
-  /// SaveState order, flips the published pointer, and trims the consumed
-  /// delta log.
+  /// rebuild alone, in parallel over the pool) — copies the backlog
+  /// entries that still have a live alternative, in SaveState order,
+  /// flips the published pointer, and trims the consumed delta log.
   void PublishGeneration(uint64_t batch);
   /// Trims the delta log to the oldest watermark of a slot that can still
   /// patch from it. Every publication advances a slot to the log end, so

@@ -300,6 +300,11 @@ std::string Session::ApplyImmediate(const EditEntry& op) {
 std::string Session::HandleLocked(const Request& req) {
   if (req.IsEdit()) {
     if (mode_ == SessionMode::kImmediate) return ApplyImmediate(req.edit);
+    if (staged_.size() >= kMaxStagedEdits)
+      return ErrResponse(
+          "busy", StrFormat("%zu edits staged, the most one session holds; "
+                            "commit them first",
+                            staged_.size()));
     staged_.push_back(req.edit);
     return StrFormat("staged %zu", staged_.size());
   }

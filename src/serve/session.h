@@ -28,7 +28,9 @@
 //   rejected      the service refused an edit (dead id, bad endpoint, ...),
 //                 or `detect` named an unknown rule
 //   staged_edits  restore refused while uncommitted edits are staged
-//   busy          admission control shed the connection or request
+//   busy          admission control shed the connection or request, or
+//                 an edit found the session's staging buffer full
+//                 (Session::kMaxStagedEdits; the staged edits are kept)
 //   io            a file/device operation failed (save/trace/...), or a
 //                 WAL append failed — the batch was rolled back and the
 //                 service is read-only until restarted
@@ -136,6 +138,10 @@ enum class SessionMode {
 /// thread-safe — one session belongs to one connection.
 class Session {
  public:
+  /// Most edits one kStaged session holds between commits; an edit past
+  /// it is refused with `err busy`.
+  static constexpr size_t kMaxStagedEdits = 65536;
+
   Session(RepairService* service, SessionMode mode, std::mutex* mu = nullptr);
 
   /// Parses and executes one protocol line; returns the response line ("" =

@@ -52,7 +52,6 @@ inline void ExpectViewEquivalent(const Graph& g, const GraphView& s) {
     EXPECT_EQ(a.label, b.label) << "e" << e;
     EXPECT_TRUE(g.EdgeAttrs(e) == s.EdgeAttrs(e)) << "e" << e;
     if (!g.EdgeAlive(e)) continue;
-    EXPECT_EQ(g.CountEdgesWithLabel(a.label), s.CountEdgesWithLabel(a.label));
     // FindEdge/HasEdge agree on every alive edge's endpoints, both with the
     // exact label and with the wildcard.
     EXPECT_EQ(g.FindEdge(a.src, a.dst, a.label),

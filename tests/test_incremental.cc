@@ -6,7 +6,6 @@
 #include <set>
 
 #include "graph/graph.h"
-#include "eval/experiment.h"
 #include "match/incremental.h"
 #include "util/rng.h"
 
@@ -129,10 +128,8 @@ TEST_F(IncrementalTest, AnchorsComputedFromJournal) {
   size_t mark = g_.JournalSize();
   g_.RemoveEdge(e1);
   NodeId z = g_.AddNode(a_);
-  Pattern p;
-  p.AddNode(a_);
   std::vector<EditEntry> delta(g_.Journal().begin() + mark, g_.Journal().end());
-  auto anchors = DeltaMatcher(g_, p).ComputeAnchors(delta);
+  auto anchors = ComputeDeltaAnchors(g_, delta);
   // x and y touched by removal, z by creation; no edges alive in delta.
   EXPECT_EQ(anchors.nodes.size(), 3u);
   EXPECT_TRUE(anchors.edges.empty());
@@ -232,105 +229,6 @@ TEST_P(DeltaCompleteness, FindsAllNewMatches) {
 
 INSTANTIATE_TEST_SUITE_P(RandomSweep, DeltaCompleteness,
                          ::testing::Range<uint64_t>(0, 60));
-
-// Property behind the parallel delta path (parallel::ParallelDeltaDetector):
-// ANY partition of the anchor lists into contiguous shards, searched via the
-// raw MatchEdgeAnchors/MatchNodeAnchors primitives and deduplicated by
-// footprint, reproduces exactly the FindDelta match set — on all three
-// generator domains.
-class AnchorShardingProperty : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(AnchorShardingProperty, AnyPartitionReproducesFindDelta) {
-  const std::string domain = GetParam();
-  Result<DatasetBundle> b = Status::Internal("no bundle built");
-  InjectOptions iopt;
-  iopt.rate = 0.06;
-  if (domain == "kg") {
-    KgOptions gopt;
-    gopt.num_persons = 250;
-    gopt.num_cities = 30;
-    gopt.num_countries = 8;
-    gopt.num_orgs = 15;
-    b = MakeKgBundle(gopt, iopt);
-  } else if (domain == "social") {
-    SocialOptions gopt;
-    gopt.num_persons = 250;
-    b = MakeSocialBundle(gopt, iopt);
-  } else {
-    CitationOptions gopt;
-    gopt.num_papers = 200;
-    gopt.num_authors = 80;
-    b = MakeCitationBundle(gopt, iopt);
-  }
-  ASSERT_TRUE(b.ok()) << b.status().ToString();
-  Graph& g = b.value().graph;
-  Rng rng(domain.size());
-
-  // A delta rich enough to induce plenty of anchors: random edge churn.
-  size_t mark = g.JournalSize();
-  std::vector<NodeId> nodes = g.Nodes();
-  std::vector<SymbolId> elabels;
-  for (EdgeId e : g.Edges()) elabels.push_back(g.EdgeLabel(e));
-  for (int k = 0; k < 25; ++k) {
-    NodeId x = nodes[rng.PickIndex(nodes)], y = nodes[rng.PickIndex(nodes)];
-    if (rng.NextBernoulli(0.7)) {
-      if (g.NodeAlive(x) && g.NodeAlive(y) && x != y)
-        g.AddEdge(x, y, elabels[rng.PickIndex(elabels)]);
-    } else {
-      std::vector<EdgeId> cur = g.Edges();
-      if (!cur.empty()) g.RemoveEdge(cur[rng.PickIndex(cur)]);
-    }
-  }
-  std::vector<EditEntry> delta(g.Journal().begin() + mark, g.Journal().end());
-
-  for (RuleId r = 0; r < b.value().rules.size(); ++r) {
-    DeltaMatcher dm(g, b.value().rules[r].pattern());
-    auto anchors = dm.ComputeAnchors(delta);
-
-    std::set<std::pair<std::vector<NodeId>, std::vector<EdgeId>>> expected;
-    dm.FindDelta(delta, [&](const Match& m) {
-      expected.insert({m.nodes, m.edges});
-      return true;
-    });
-
-    // Several random partitions, plus the 1-shard and anchor-per-shard
-    // extremes.
-    for (size_t trial = 0; trial < 4; ++trial) {
-      size_t max_width;
-      if (trial == 0) {
-        max_width = SIZE_MAX;  // single shard
-      } else if (trial == 1) {
-        max_width = 1;  // one anchor per shard
-      } else {
-        max_width = 1 + rng.NextBounded(5);
-      }
-      std::set<std::pair<std::vector<NodeId>, std::vector<EdgeId>>> got;
-      auto collect = [&](const Match& m) {
-        got.insert({m.nodes, m.edges});
-        return true;
-      };
-      for (size_t i = 0; i < anchors.edges.size();) {
-        size_t w = std::min<size_t>(max_width, anchors.edges.size() - i);
-        dm.MatchEdgeAnchors({anchors.edges.begin() + i,
-                             anchors.edges.begin() + i + w},
-                            collect);
-        i += w;
-      }
-      for (size_t i = 0; i < anchors.nodes.size();) {
-        size_t w = std::min<size_t>(max_width, anchors.nodes.size() - i);
-        dm.MatchNodeAnchors({anchors.nodes.begin() + i,
-                             anchors.nodes.begin() + i + w},
-                            collect);
-        i += w;
-      }
-      EXPECT_EQ(got, expected)
-          << domain << " rule " << r << " shard width trial " << trial;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Domains, AnchorShardingProperty,
-                         ::testing::Values("kg", "social", "citation"));
 
 }  // namespace
 }  // namespace grepair

@@ -1,7 +1,8 @@
 // Compiled match-plan tests: the vectorized intersection kernels on
-// adversarial range shapes, budget truncation as a stream prefix, both
-// parallel detectors against the sequential matcher for every shard x
-// thread combination, and the explain dump. The exact emission order of a
+// adversarial range shapes, budget truncation as a stream prefix, the
+// parallel detector against the sequential matcher for every shard x
+// thread combination, delta search over every shard count, and the
+// explain dump. The exact emission order of a
 // single search is checked against a brute-force enumerator in
 // tests/test_matcher_property.cc.
 #include <gtest/gtest.h>
@@ -20,7 +21,6 @@
 #include "match/matcher.h"
 #include "match/plan.h"
 #include "obs/metrics.h"
-#include "parallel/delta_detector.h"
 #include "parallel/parallel_detector.h"
 #include "parallel/thread_pool.h"
 
@@ -179,7 +179,7 @@ TEST(MatchPlanTest, ParallelDetectorMatchesSequentialMatcher) {
   }
 }
 
-TEST(MatchPlanTest, DeltaDetectorMatchesSequentialDeltaMatcher) {
+TEST(MatchPlanTest, DeltaSearchOverShardedViewsMatchesLiveGraph) {
   DatasetBundle bundle = SmallKg();
   Graph& g = bundle.graph;
   g.EnableDeltaLog();
@@ -194,34 +194,26 @@ TEST(MatchPlanTest, DeltaDetectorMatchesSequentialDeltaMatcher) {
   std::vector<EditEntry> delta(g.Journal().begin() + mark, g.Journal().end());
   ASSERT_FALSE(delta.empty());
 
-  // Sequential reference.
-  Stream seq;
-  for (RuleId r = 0; r < bundle.rules.size(); ++r) {
-    DeltaMatcher dm(g, bundle.rules[r].pattern());
-    dm.FindDelta(delta, [&](const Match& m) {
-      seq.emplace_back(r, m);
-      return true;
-    });
-  }
-
+  auto delta_stream = [&](const GraphView& view) {
+    const DeltaAnchors anchors = ComputeDeltaAnchors(view, delta);
+    Stream out;
+    for (RuleId r = 0; r < bundle.rules.size(); ++r) {
+      DeltaMatcher(view, bundle.rules[r].pattern())
+          .FindDelta(anchors, [&](const Match& m) {
+            out.emplace_back(r, m);
+            return true;
+          });
+    }
+    return out;
+  };
+  const Stream live = delta_stream(g);
+  ASSERT_FALSE(live.empty());
   for (size_t shards : {1u, 2u, 4u, 8u}) {
-    ShardedSnapshot snap(g, shards);
-    for (size_t threads : {1u, 2u, 4u, 8u}) {
-      ThreadPool pool(threads);
-      ParallelDeltaOptions opts;
-      opts.shard_min_anchors = 1;  // force fan-out
-      ParallelDeltaDetector detector(&pool, opts);
-      Stream par;
-      detector.Detect(snap, bundle.rules, delta,
-                      [&](RuleId r, const Match& m) {
-                        par.emplace_back(r, m);
-                      });
-      ASSERT_EQ(seq.size(), par.size())
-          << "shards=" << shards << " threads=" << threads;
-      for (size_t i = 0; i < seq.size(); ++i) {
-        EXPECT_EQ(seq[i].first, par[i].first) << "emission " << i;
-        EXPECT_EQ(seq[i].second, par[i].second) << "emission " << i;
-      }
+    const Stream sharded = delta_stream(ShardedSnapshot(g, shards));
+    ASSERT_EQ(live.size(), sharded.size()) << "shards=" << shards;
+    for (size_t i = 0; i < live.size(); ++i) {
+      EXPECT_EQ(live[i].first, sharded[i].first) << "emission " << i;
+      EXPECT_EQ(live[i].second, sharded[i].second) << "emission " << i;
     }
   }
 }
@@ -265,13 +257,14 @@ TEST(MatchPlanTest, CompileCountersCountBodiesAndKeepTheirTime) {
   m.CollectWith(anchored);
   EXPECT_EQ(compiles->Value() - before, 2u);
 
-  // A DeltaMatcher runs every call through one Matcher, so per-anchor calls
-  // (the aligned fan-out's shape) compile each anchor shape once.
+  // A DeltaMatcher runs every call through one Matcher, so one-anchor
+  // calls compile each anchor shape once.
   ASSERT_GE(seeds.size(), 20u);
   const uint64_t before_delta = compiles->Value();
   const DeltaMatcher dm(snap, p);
   for (size_t i = 0; i < 20; ++i)
-    dm.MatchNodeAnchors({seeds[i]}, [](const Match&) { return true; });
+    dm.FindDelta(DeltaAnchors{{seeds[i]}, {}},
+                 [](const Match&) { return true; });
   EXPECT_LE(compiles->Value() - before_delta, p.NumNodes());
 
   // 2000 bodies take well over 100 µs in all (a body costs more than

@@ -150,7 +150,6 @@ TEST_P(PublishBitIdentity, DetectMatchesOfflineAtEveryBoundary) {
   ServeOptions sopt;
   sopt.num_threads = threads;
   sopt.num_shards = shards;
-  sopt.shard_min_anchors = 1;  // force fan-out even for small deltas
   RepairService service(bundle.graph.Clone(), bundle.rules, sopt);
   serve::Session session(&service, serve::SessionMode::kImmediate);
 
@@ -240,7 +239,6 @@ TEST(PublishStormTest, ReadersObserveExactlyCommittedPrefixes) {
 
   ServeOptions base;
   base.max_fixes_per_batch = 3;
-  base.shard_min_anchors = 1;
 
   // The sequential reference: one thread, one shard, same budget.
   ServeOptions seq_opt = base;
@@ -272,7 +270,7 @@ TEST(PublishStormTest, ReadersObserveExactlyCommittedPrefixes) {
     record(b + 1);
   }
 
-  // The storm service: fanned-out commits, concurrent readers.
+  // The storm service: shard-parallel publications, concurrent readers.
   ServeOptions storm_opt = base;
   storm_opt.num_threads = 4;
   storm_opt.num_shards = 4;
@@ -334,7 +332,6 @@ TEST(PublishLifetimeTest, PinnedGenerationSurvivesLaterPublications) {
   ServeOptions sopt;
   sopt.num_threads = 2;
   sopt.num_shards = 2;
-  sopt.shard_min_anchors = 1;
   RepairService service(bundle.graph.Clone(), bundle.rules, sopt);
 
   serve::ReadLease lease = service.PinPublished();
@@ -480,7 +477,6 @@ TEST(PublishReadPathTest, OneShardServicesReadAGraphSnapshot) {
     ServeOptions sopt;
     sopt.num_threads = c.threads;
     sopt.num_shards = c.shards;
-    sopt.shard_min_anchors = 1;
     RepairService service(bundle.graph.Clone(), bundle.rules, sopt);
     ASSERT_EQ(service.num_shards(), c.want_shards);
     Rng rng(5);
@@ -569,7 +565,7 @@ TEST_P(DeltaLogRetention, BoundedByLastTwoCommits) {
     // Re-pinned every third commit, so each lease spans three commits.
     if (pinned && b % 3 == 0) lease = service.PinPublished();
     Graph scratch = g.Clone();
-    // Alternate small and large batches so some commits fan out.
+    // Alternate small and large batches.
     auto res = service.ApplyBatch(MutateRandom(&scratch, &rng, b % 2 ? 4 : 24));
     ASSERT_TRUE(res.ok()) << res.status().ToString();
     const uint64_t end = g.DeltaLogEnd();

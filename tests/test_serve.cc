@@ -1,9 +1,9 @@
 // Serving subsystem tests. The load-bearing property is the acceptance
-// criterion of the serving layer: a RepairService commit (batched PARALLEL
-// delta-detection + greedy cascades) is bit-identical to the sequential
-// RepairEngine::RunDelta over the same edit slice, for thread counts
-// {1, 2, 4, 8}, on all three generator domains — graphs, fix counts,
-// violation counts AND matcher expansions.
+// criterion of the serving layer: a RepairService commit (delta-detection +
+// greedy cascades, with a shard-parallel publication) is bit-identical to
+// the sequential RepairEngine::RunDelta over the same edit slice, for
+// thread counts {1, 2, 4, 8}, on all three generator domains — graphs, fix
+// counts, violation counts AND matcher expansions.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,7 +13,6 @@
 
 #include "cli/cli.h"
 #include "eval/experiment.h"
-#include "parallel/delta_detector.h"
 #include "serve/repair_service.h"
 #include "util/rng.h"
 
@@ -109,7 +108,6 @@ void ExpectServiceMatchesRunDelta(const std::string& domain, size_t threads) {
 
   ServeOptions sopt;
   sopt.num_threads = threads;
-  sopt.shard_min_anchors = 1;  // force the fan-out path even for tiny deltas
   RepairService service(bundle.graph.Clone(), bundle.rules, sopt);
 
   Rng rng(domain.size() * 1000 + threads);
@@ -156,8 +154,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ------------------------------------------------------- golden outcome
 // A fixed edit script committed to a 1-thread service and to a 2-thread,
-// 2-shard one whose every batch fans out: fixes, matcher expansions and
-// the final fingerprint are pinned, and both services must land on them.
+// 2-shard one whose every publication fans out: fixes, matcher expansions
+// and the final fingerprint are pinned, and both services must land on
+// them.
 // The script is generated once, from the 1-thread service's state before
 // each batch, and replayed verbatim into the other. The constants were
 // recorded with the interpreted matcher, before it was deleted.
@@ -172,7 +171,6 @@ TEST(ServeGoldenTest, FixedEditScriptOutcomePinned) {
   ServeOptions fanned;
   fanned.num_threads = 2;
   fanned.num_shards = 2;
-  fanned.shard_min_anchors = 1;
   RepairService a(bundle.graph.Clone(), bundle.rules, sequential);
   RepairService b(bundle.graph.Clone(), bundle.rules, fanned);
 
@@ -201,62 +199,6 @@ TEST(ServeGoldenTest, FixedEditScriptOutcomePinned) {
     EXPECT_EQ(expansions[i], kExpansions) << got;
     EXPECT_EQ(s.graph().Fingerprint(), kFingerprint) << got;
   }
-}
-
-// ------------------------------------------------- ParallelDeltaDetector
-
-// Forced sharding must reproduce the sequential per-rule FindDelta stream
-// exactly: same (rule, match) sequence, same stats.
-TEST(ParallelDeltaDetectorTest, ForcedShardingPreservesEmissionOrder) {
-  DatasetBundle bundle = CleanBundle("kg");
-  Graph& g = bundle.graph;
-  Rng rng(99);
-  std::vector<EditEntry> delta = MutateRandom(&g, &rng, 30);
-
-  std::vector<std::pair<RuleId, Match>> seq;
-  MatchStats seq_stats;
-  for (RuleId r = 0; r < bundle.rules.size(); ++r) {
-    DeltaMatcher dm(g, bundle.rules[r].pattern());
-    MatchStats st = dm.FindDelta(delta, [&](const Match& m) {
-      seq.emplace_back(r, m);
-      return true;
-    });
-    seq_stats.expansions += st.expansions;
-    seq_stats.matches += st.matches;
-    seq_stats.exhausted |= st.exhausted;
-  }
-
-  ThreadPool pool(4);
-  ParallelDeltaOptions opts;
-  opts.shard_min_anchors = 1;
-  opts.max_shards_per_rule = 16;
-  ParallelDeltaDetector detector(&pool, opts);
-  std::vector<std::pair<RuleId, Match>> par;
-  MatchStats par_stats = detector.Detect(
-      g, bundle.rules, delta,
-      [&](RuleId r, const Match& m) { par.emplace_back(r, m); });
-
-  ASSERT_EQ(seq.size(), par.size());
-  for (size_t i = 0; i < seq.size(); ++i) {
-    EXPECT_EQ(seq[i].first, par[i].first) << "emission " << i;
-    EXPECT_EQ(seq[i].second, par[i].second) << "emission " << i;
-  }
-  EXPECT_EQ(seq_stats.expansions, par_stats.expansions);
-  EXPECT_EQ(seq_stats.matches, par_stats.matches);
-  EXPECT_EQ(seq_stats.exhausted, par_stats.exhausted);
-}
-
-TEST(ParallelDeltaDetectorTest, EmptyRuleSetFindsNothing) {
-  DatasetBundle bundle = CleanBundle("kg");
-  Rng rng(7);
-  std::vector<EditEntry> delta = MutateRandom(&bundle.graph, &rng, 5);
-  ThreadPool pool(2);
-  ParallelDeltaDetector detector(&pool);
-  size_t emitted = 0;
-  MatchStats st = detector.Detect(bundle.graph, RuleSet(), delta,
-                                  [&](RuleId, const Match&) { ++emitted; });
-  EXPECT_EQ(emitted, 0u);
-  EXPECT_EQ(st.matches, 0u);
 }
 
 // ------------------------------------------------------- service behavior
@@ -354,6 +296,50 @@ TEST(RepairServiceTest, BudgetLeftoversDrainAcrossCommits) {
     exhausted = service.Commit().value().budget_exhausted;
   EXPECT_FALSE(exhausted);
   EXPECT_EQ(CountViolations(service.graph(), bundle.rules), 0u);
+}
+
+// The published backlog under a fix budget holds exactly the violations of
+// the served graph: the store keeps entries a later edit ended until
+// PopBest re-verifies them, and publication must not count those.
+class ServeBacklogOracle : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(ServeBacklogOracle, PublishedTotalEqualsOfflineCount) {
+  const std::string domain = GetParam();
+  DatasetBundle bundle = CleanBundle(domain);
+  ServeOptions sopt;
+  sopt.max_fixes_per_batch = 4;
+  RepairService service(bundle.graph.Clone(), bundle.rules, sopt);
+  Rng rng(domain.size() * 31);
+  size_t cut = 0;
+  for (size_t batch = 0; batch < 12; ++batch) {
+    Graph scratch = service.graph().Clone();
+    auto r = service.ApplyBatch(MutateRandom(&scratch, &rng, 24));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    cut += r.value().budget_exhausted;
+    auto page = service.ReadViolations(0, 0);
+    ASSERT_TRUE(page.ok()) << page.status().ToString();
+    EXPECT_EQ(page.value().total,
+              CountViolations(service.graph(), bundle.rules))
+        << domain << " batch " << batch;
+  }
+  EXPECT_GT(cut, 0u) << "the budget never cut a commit";
+}
+
+INSTANTIATE_TEST_SUITE_P(Domains, ServeBacklogOracle,
+                         ::testing::Values("kg", "social", "citation"));
+
+// A commit on an empty rule set anchors and finds nothing.
+TEST(RepairServiceTest, EmptyRuleSetCommitFindsNothing) {
+  DatasetBundle bundle = CleanBundle("kg");
+  RepairService service(bundle.graph.Clone(), RuleSet());
+  Rng rng(7);
+  Graph scratch = service.graph().Clone();
+  auto r = service.ApplyBatch(MutateRandom(&scratch, &rng, 5));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value().violations, 0u);
+  EXPECT_EQ(r.value().fixes, 0u);
+  EXPECT_EQ(r.value().expansions, 0u);
+  EXPECT_EQ(r.value().anchor_nodes + r.value().anchor_edges, 0u);
 }
 
 TEST(RepairServiceTest, CommitWithNoEditsIsCheapNoop) {

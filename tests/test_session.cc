@@ -199,6 +199,29 @@ TEST(SessionTest, StagedCommitCountsRejectedOps) {
   EXPECT_EQ(service.graph().NumNodes(), 5u);
 }
 
+// The staging buffer holds at most kMaxStagedEdits edits: one more is
+// refused with `err busy`, and the staged ones still commit.
+TEST(SessionTest, StagingBufferIsBounded) {
+  RepairService service = MakeService();
+  Session session(&service, SessionMode::kStaged);
+  auto add = ParseRequest("add_node Org", service.graph().vocab());
+  ASSERT_TRUE(add.ok()) << add.status().ToString();
+  for (size_t i = 0; i < Session::kMaxStagedEdits; ++i)
+    ASSERT_EQ(session.Handle(add.value()), "staged " + std::to_string(i + 1));
+
+  EXPECT_EQ(session.HandleLine("add_node Org").rfind("err busy ", 0), 0u);
+  EXPECT_EQ(session.StagedEdits(), Session::kMaxStagedEdits);
+
+  const std::string batch = session.HandleLine("commit");
+  EXPECT_EQ(batch.rfind("batch 1 edits=" +
+                            std::to_string(Session::kMaxStagedEdits) + " ",
+                        0),
+            0u)
+      << batch;
+  EXPECT_EQ(session.StagedEdits(), 0u);
+  EXPECT_EQ(session.HandleLine("add_node Org"), "staged 1");
+}
+
 TEST(SessionTest, StagedAndImmediateConvergeToIdenticalState) {
   const char* kOps[] = {
       "add_node Org",          "add_edge 0 4 knows", "set_node_label 1 Org",

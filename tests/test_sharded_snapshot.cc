@@ -314,7 +314,6 @@ TEST(ShardedSnapshotTest, ServiceCommitsBitIdenticalAcrossShardCounts) {
 
   ServeOptions mono;
   mono.num_threads = 4;
-  mono.shard_min_anchors = 2;  // fan out nearly every batch
   mono.num_shards = 1;
   ServeOptions sharded = mono;
   sharded.num_shards = 4;
@@ -360,8 +359,8 @@ TEST(ShardedSnapshotTest, ServiceCommitsBitIdenticalAcrossShardCounts) {
 // fraction: steady-state commits rebuild ONE shard per publication, never
 // the whole store.
 TEST(ShardedSnapshotTest, ServiceRebuildsOnlyTheHotShard) {
-  // A rule that can never match: anchors still fan the commit out, but no
-  // repair cascade can leak edits into other shards.
+  // A rule that can never match: the commit still searches its anchors,
+  // but no repair cascade can leak edits into other shards.
   auto vocab = MakeVocabulary();
   Graph g(vocab);
   SymbolId person = vocab->Label("Person"), knows = vocab->Label("knows");
@@ -375,13 +374,12 @@ TEST(ShardedSnapshotTest, ServiceRebuildsOnlyTheHotShard) {
 
   ServeOptions sopt;
   sopt.num_threads = 2;
-  sopt.shard_min_anchors = 2;
   sopt.num_shards = 4;
   sopt.snapshot_rebuild_fraction = 0.0;  // every touched shard rebuilds
   RepairService service(std::move(g), std::move(rules).value(), sopt);
 
   // Violation-free attribute churn on shard-0 nodes only (ids congruent 0
-  // mod 4): anchors fan the commit out, no rule fires, so the whole delta
+  // mod 4): no rule fires, so the whole delta
   // — and therefore the dirt — stays in shard 0. (Structural edits would
   // cascade repairs like node merges across shards.)
   std::vector<NodeId> shard0;

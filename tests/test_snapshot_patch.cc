@@ -328,7 +328,6 @@ TEST(SnapshotPatchTest, ServiceCommitsBitIdenticalAndCountsPaths) {
 
   ServeOptions incr;
   incr.num_threads = 4;
-  incr.shard_min_anchors = 2;  // fan out nearly every batch
   ServeOptions full = incr;
   full.snapshot_rebuild_fraction = 0.0;
   RepairService a(bundle.graph.Clone(), bundle.rules, incr);
@@ -384,7 +383,6 @@ TEST(SnapshotPatchTest, RebuildThresholdForcesRebuilds) {
 
   ServeOptions sopt;
   sopt.num_threads = 2;
-  sopt.shard_min_anchors = 2;
   sopt.snapshot_rebuild_fraction = 0.0;  // nothing is ever patchable
   RepairService service(bundle.graph.Clone(), bundle.rules, sopt);
   std::vector<NodeId> nodes = service.graph().Nodes();
